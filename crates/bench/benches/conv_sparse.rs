@@ -5,10 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtoss_core::pattern::canonical_set;
 use rtoss_core::prune3x3::prune_3x3_weights;
-use rtoss_sparse::exec::{
-    conv2d_pattern_sparse, conv2d_pattern_sparse_with, conv2d_unstructured,
-    conv2d_unstructured_with,
-};
+use rtoss_sparse::exec::{conv2d_pattern_sparse_with, conv2d_unstructured_with};
 use rtoss_sparse::{ExecConfig, PatternCompressedConv, UnstructuredSparseConv};
 use rtoss_tensor::{init, ops};
 
@@ -16,6 +13,7 @@ fn bench_conv(c: &mut Criterion) {
     let mut group = c.benchmark_group("conv_3x3_64ch_32px");
     group.sample_size(10);
     let x = init::uniform(&mut init::rng(1), &[1, 64, 32, 32], -1.0, 1.0);
+    let exec = ExecConfig::default();
 
     let dense_w = init::uniform(&mut init::rng(2), &[64, 64, 3, 3], -1.0, 1.0);
     group.bench_function("dense", |b| {
@@ -30,10 +28,10 @@ fn bench_conv(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("pattern", format!("{k}EP")),
             &pc,
-            |b, pc| b.iter(|| conv2d_pattern_sparse(&x, pc, None).unwrap()),
+            |b, pc| b.iter(|| conv2d_pattern_sparse_with(&x, pc, None, &exec).unwrap()),
         );
         group.bench_with_input(BenchmarkId::new("coo", format!("{k}EP")), &un, |b, un| {
-            b.iter(|| conv2d_unstructured(&x, un, None).unwrap())
+            b.iter(|| conv2d_unstructured_with(&x, un, None, &exec).unwrap())
         });
     }
     group.finish();

@@ -1,48 +1,41 @@
-//! Microkernel sparsity sweep: where does each conv format win?
+//! Microkernel sparsity sweep: what does the one tiled driver cost at
+//! each density?
 //!
 //! Times one 3×3 conv layer at every pruning level (2EP/3EP/4EP taps
-//! per kernel, plus the unpruned dense weight) through all four
-//! executors — the scalar reference walk, the register-tiled pattern
-//! microkernel, the COO path, and the dense 9-tap microkernel — and
-//! reports the fig6-style crossover: pattern-tiled wins at high
-//! sparsity, dense wins once most taps survive, and COO loses at equal
-//! nnz because its irregular dispatch defeats the monomorphized inner
-//! loops. Each row also compiles the layer through the plan-time
-//! *timed* autotuner and reports which format it picked, so the sweep
-//! doubles as an end-to-end check that the tuner tracks the
-//! measurements.
+//! per kernel, plus the unpruned weight — the density-1.0, arity-9
+//! pack) three ways: the scalar reference walk, the tiled driver over
+//! the layer's pattern pack, and the tiled driver over the COO pack of
+//! the same weights. Read down the rows for the fig6-style crossover
+//! (time ∝ surviving taps); read across for the tiled-over-scalar
+//! speedup and for what storage costs at run time (a COO pack of
+//! pattern-pruned weights has the same uniform arity, so it takes the
+//! same monomorphized body and differs only in unshared offsets).
 //!
 //! ```text
 //! kernel_bench [--reps N] [--image N] [--channels N] [--out-dir PATH] [--gate]
 //! ```
 //!
-//! `--gate` exits non-zero when the pattern-tiled kernel is slower
-//! than the scalar reference (beyond a 5% jitter allowance) on any
+//! `--gate` exits non-zero when the tiled driver is slower than the
+//! scalar reference (beyond a 5% jitter allowance) on any
 //! pattern-pruned row — the whole point of the microkernel layer. The
 //! gate self-skips when a timer-stability calibration shows the host
 //! cannot produce repeatable minima (noisy CI neighbours).
 //!
 //! Writes `results/kernels/kernel_bench.txt` + `.json` by default.
-//! All four executors are bit-identical by construction (rtoss-verify
+//! All three paths are bit-identical by construction (rtoss-verify
 //! RV092), so the deltas here are pure kernel-strategy effects.
 
 use rtoss_bench::print_table;
 use rtoss_core::pattern::canonical_set;
 use rtoss_core::prune3x3::prune_3x3_weights;
-use rtoss_sparse::exec::{
-    conv2d_dense_into_with, conv2d_pattern_scalar_into_with, conv2d_pattern_sparse_into_with,
-    conv2d_unstructured_into_with, conv_output_shape,
-};
-use rtoss_sparse::{
-    coo_from_pattern, AutotuneMode, ExecutionPlan, FormatChoice, PatternCompressedConv,
-    PlanOptions, SparseModel,
-};
+use rtoss_sparse::exec::{conv2d_packed_into, conv2d_pattern_scalar_into_with, conv_output_shape};
+use rtoss_sparse::{coo_from_pattern, PatternCompressedConv};
 use rtoss_tensor::exec::Epilogue;
 use rtoss_tensor::{init, ExecConfig};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// One sparsity level's measurements, all executors, milliseconds.
+/// One sparsity level's measurements, all three paths, milliseconds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct KernelRow {
     /// Pruning level: "2EP", "3EP", "4EP", or "dense".
@@ -51,36 +44,17 @@ struct KernelRow {
     density: f64,
     /// Scalar reference executor, best-of-reps ms.
     scalar_ms: f64,
-    /// Register-tiled pattern microkernel, best-of-reps ms.
+    /// Tiled driver over the layer's pattern pack, best-of-reps ms.
     tiled_ms: f64,
-    /// COO executor (same weights, per-run dynamic taps), best-of-reps ms.
+    /// Tiled driver over the COO pack of the same weights (offsets
+    /// stored per run, not per group), best-of-reps ms.
     coo_ms: f64,
-    /// Dense 9-tap microkernel (zeros included), best-of-reps ms.
-    dense_ms: f64,
-    /// Format the plan-time timed autotuner picked for this layer.
-    autotune_pick: String,
 }
 
 impl KernelRow {
     /// Tiled speedup over the scalar reference (>1 = tiling wins).
     fn tiled_speedup(&self) -> f64 {
         self.scalar_ms / self.tiled_ms
-    }
-    /// Fastest measured format for this row, first-of-min tie-break in
-    /// the same candidate order the autotuner uses.
-    fn fastest(&self) -> &'static str {
-        let candidates = [
-            ("pattern", self.tiled_ms),
-            ("coo", self.coo_ms),
-            ("dense", self.dense_ms),
-        ];
-        let mut best = 0;
-        for (i, &(_, ms)) in candidates.iter().enumerate() {
-            if ms < candidates[best].1 {
-                best = i;
-            }
-        }
-        candidates[best].0
     }
 }
 
@@ -170,58 +144,30 @@ fn call_ms(out: &mut [f32], f: &mut impl FnMut(&mut [f32])) -> f64 {
     ms
 }
 
-/// Interleaved min-of-reps over all four executors: one frame each per
+/// Interleaved min-of-reps over the three paths: one frame each per
 /// rep, so clock drift and co-tenant noise hit every path equally.
-fn time_quad_ms(
+fn time_trio_ms(
     reps: usize,
     out: &mut [f32],
     scalar: &mut impl FnMut(&mut [f32]),
     tiled: &mut impl FnMut(&mut [f32]),
     coo: &mut impl FnMut(&mut [f32]),
-    dense: &mut impl FnMut(&mut [f32]),
-) -> (f64, f64, f64, f64) {
+) -> (f64, f64, f64) {
     scalar(out); // warm-up
     tiled(out);
     coo(out);
-    dense(out);
-    let mut ms = [f64::INFINITY; 4];
+    let mut ms = [f64::INFINITY; 3];
     for _ in 0..reps {
         ms[0] = ms[0].min(call_ms(out, scalar));
         ms[1] = ms[1].min(call_ms(out, tiled));
         ms[2] = ms[2].min(call_ms(out, coo));
-        ms[3] = ms[3].min(call_ms(out, dense));
     }
-    (ms[0], ms[1], ms[2], ms[3])
-}
-
-/// Compiles a one-conv graph holding this exact layer through the
-/// timed autotuner and returns the format it picked.
-fn autotune_pick(layer: &PatternCompressedConv, image: usize) -> String {
-    let dense_w = layer.to_dense();
-    let mut g = rtoss_nn::Graph::new();
-    let x = g.add_input("x");
-    let c = g
-        .add_layer(
-            "swept",
-            Box::new(rtoss_nn::layers::Conv2d::from_weight(dense_w, 1, 1)),
-            x,
-        )
-        .expect("valid node");
-    g.set_outputs(vec![c]).expect("valid output");
-    let engine = SparseModel::compile(&g).expect("engine compiles");
-    let opts = PlanOptions {
-        format: FormatChoice::Auto,
-        autotune: AutotuneMode::Timed { reps: 3 },
-    };
-    let plan = ExecutionPlan::compile_with(&engine, &[1, layer.in_channels(), image, image], &opts)
-        .expect("plan compiles");
-    plan.summary_for(&engine).steps[0].format.to_string()
+    (ms[0], ms[1], ms[2])
 }
 
 fn measure(mode: &str, entries: Option<usize>, args: &Args) -> KernelRow {
     let layer = build_layer(args.channels, entries);
     let coo = coo_from_pattern(&layer);
-    let dense = layer.to_dense();
     let x_shape = [1, args.channels, args.image, args.image];
     let x = init::uniform(&mut init::rng(0x6C), &x_shape, -1.0, 1.0);
     let bias = vec![0.125f32; args.channels];
@@ -238,8 +184,13 @@ fn measure(mode: &str, entries: Option<usize>, args: &Args) -> KernelRow {
     .expect("shape valid");
     let mut out = vec![0.0f32; out_shape.iter().product()];
     let xs = x.as_slice();
+    let packed = |pack, o: &mut [f32]| {
+        conv2d_packed_into(xs, &x_shape, pack, Some(&bias), &Epilogue::NONE, o, &exec)
+            .map(|_| ())
+            .expect("tiled driver runs")
+    };
 
-    let (scalar_ms, tiled_ms, coo_ms, dense_ms) = time_quad_ms(
+    let (scalar_ms, tiled_ms, coo_ms) = time_trio_ms(
         args.reps,
         &mut out,
         &mut |o| {
@@ -255,47 +206,8 @@ fn measure(mode: &str, entries: Option<usize>, args: &Args) -> KernelRow {
             .map(|_| ())
             .expect("scalar runs")
         },
-        &mut |o| {
-            conv2d_pattern_sparse_into_with(
-                xs,
-                &x_shape,
-                &layer,
-                Some(&bias),
-                &Epilogue::NONE,
-                o,
-                &exec,
-            )
-            .map(|_| ())
-            .expect("tiled runs")
-        },
-        &mut |o| {
-            conv2d_unstructured_into_with(
-                xs,
-                &x_shape,
-                &coo,
-                Some(&bias),
-                &Epilogue::NONE,
-                o,
-                &exec,
-            )
-            .map(|_| ())
-            .expect("coo runs")
-        },
-        &mut |o| {
-            conv2d_dense_into_with(
-                xs,
-                &x_shape,
-                &dense,
-                1,
-                1,
-                Some(&bias),
-                &Epilogue::NONE,
-                o,
-                &exec,
-            )
-            .map(|_| ())
-            .expect("dense runs")
-        },
+        &mut |o| packed(layer.pack(), o),
+        &mut |o| packed(coo.pack(), o),
     );
 
     let total = (layer.out_channels() * layer.in_channels() * 9) as f64;
@@ -305,8 +217,6 @@ fn measure(mode: &str, entries: Option<usize>, args: &Args) -> KernelRow {
         scalar_ms,
         tiled_ms,
         coo_ms,
-        dense_ms,
-        autotune_pick: autotune_pick(&layer, args.image),
     }
 }
 
@@ -349,7 +259,7 @@ fn calibrate_timer(args: &Args) -> f64 {
 fn main() {
     let args = parse_args();
     println!(
-        "kernel_bench: {c}ch {s}x{s} input, {r} reps per executor\n",
+        "kernel_bench: {c}ch {s}x{s} input, {r} reps per path\n",
         c = args.channels,
         s = args.image,
         r = args.reps
@@ -377,10 +287,7 @@ fn main() {
                 format!("{:.3}", r.scalar_ms),
                 format!("{:.3}", r.tiled_ms),
                 format!("{:.3}", r.coo_ms),
-                format!("{:.3}", r.dense_ms),
                 format!("{:.2}x", r.tiled_speedup()),
-                r.fastest().to_string(),
-                r.autotune_pick.clone(),
             ]
         })
         .collect();
@@ -390,12 +297,9 @@ fn main() {
         "scalar ms",
         "tiled ms",
         "coo ms",
-        "dense ms",
         "tiled x",
-        "fastest",
-        "autotune",
     ];
-    let title = "Conv microkernels across sparsity: scalar vs tiled vs COO vs dense";
+    let title = "One tiled conv driver across sparsity: scalar vs pattern pack vs COO pack";
     print_table(title, &headers, &table);
 
     let report = KernelBenchReport {
@@ -418,12 +322,12 @@ fn main() {
         text.push('\n');
     }
     text.push_str(&format!(
-        "\nscalar = per-tap reference walk; tiled = register-tiled pattern microkernel\n\
-         (monomorphized per tap arity); coo = same weights through per-run dynamic taps;\n\
-         dense = 9-tap microkernel including stored zeros. fastest = measured minimum;\n\
-         autotune = format the plan-time timed tuner picked for the same layer.\n\
+        "\nscalar = per-tap reference walk; tiled = the register-tiled driver over the\n\
+         layer's pattern pack (one body monomorphized on the uniform tap arity; the dense\n\
+         row is the unpruned layer's arity-9 pack); coo = the same driver over the COO\n\
+         pack of the same weights (same arity, offsets stored per run).\n\
          Timer calibration spread: {timer_spread:.3} (gate trusts the host below {CALIBRATION_SPREAD}).\n\
-         All executors are bit-identical (rtoss-verify RV092); deltas are strategy only.\n"
+         All paths are bit-identical (rtoss-verify RV092); deltas are strategy only.\n"
     ));
     let txt_path = format!("{}/kernel_bench.txt", args.out_dir);
     std::fs::write(&txt_path, &text).expect("write text report");
@@ -448,7 +352,7 @@ fn main() {
             .collect();
         if slow.is_empty() {
             println!(
-                "gate: tiled kernel >= scalar reference on all pattern-pruned rows ({} checked)",
+                "gate: tiled driver >= scalar reference on all pattern-pruned rows ({} checked)",
                 report.rows.iter().filter(|r| r.mode != "dense").count()
             );
         } else {

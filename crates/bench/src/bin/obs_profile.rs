@@ -95,15 +95,12 @@ fn build(model: &str, entry: Option<EntryPattern>, seed: u64) -> SparseModel {
 struct PlanCols {
     fused: &'static str,
     slot: usize,
-    /// Conv format the autotuner selected; `-` for non-conv steps.
+    /// `pattern` for conv steps; `-` for non-conv steps.
     format: &'static str,
-    /// The winning candidate's measured min-of-reps time; `None` when
-    /// the choice was heuristic or forced (no measurement ran).
-    tuned_ns: Option<u64>,
 }
 
 /// Per-layer table with the plan join: fusion kind, arena slot, and the
-/// autotuned conv format per step, looked up by graph node name
+/// conv format label per step, looked up by graph node name
 /// (absorbed BN/activation nodes execute inside their conv's epilogue
 /// and so have no row of their own). `plan` is `None` under
 /// `--no-plan`.
@@ -128,8 +125,8 @@ fn render_layers(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<name_w$}  {:>7}  {:>12}  {:>6}  {:>10}  {:>5}  {:>7}  {:>9}",
-        "name", "count", "self(ms/it)", "self%", "fused", "slot", "format", "tuned(us)"
+        "{:<name_w$}  {:>7}  {:>12}  {:>6}  {:>10}  {:>5}  {:>7}",
+        "name", "count", "self(ms/it)", "self%", "fused", "slot", "format"
     );
     for s in &layers[..shown] {
         let pct = if total_self == 0 {
@@ -138,27 +135,20 @@ fn render_layers(
             100.0 * s.self_ns as f64 / total_self as f64
         };
         let cols = plan.and_then(|p| p.get(s.name.trim_start_matches("layer:")));
-        let (fused, slot, fmt, tuned) = match cols {
-            Some(c) => (
-                c.fused,
-                c.slot.to_string(),
-                c.format,
-                c.tuned_ns
-                    .map_or("-".to_string(), |ns| format!("{:.1}", ns as f64 / 1e3)),
-            ),
-            None => ("-", "-".to_string(), "-", "-".to_string()),
+        let (fused, slot, fmt) = match cols {
+            Some(c) => (c.fused, c.slot.to_string(), c.format),
+            None => ("-", "-".to_string(), "-"),
         };
         let _ = writeln!(
             out,
-            "{:<name_w$}  {:>7}  {:>12.3}  {:>5.1}%  {:>10}  {:>5}  {:>7}  {:>9}",
+            "{:<name_w$}  {:>7}  {:>12.3}  {:>5.1}%  {:>10}  {:>5}  {:>7}",
             s.name,
             s.count,
             s.self_ns as f64 / 1e6 / repeats as f64,
             pct,
             fused,
             slot,
-            fmt,
-            tuned
+            fmt
         );
     }
     if layers.len() > shown {
@@ -221,18 +211,12 @@ fn main() {
                     .steps
                     .iter()
                     .map(|s| {
-                        let tuned_ns = s
-                            .autotune_ns
-                            .iter()
-                            .find(|(cand, _)| *cand == s.format)
-                            .map(|&(_, ns)| ns);
                         (
                             s.name.clone(),
                             PlanCols {
                                 fused: s.fused,
                                 slot: s.out_slot,
                                 format: s.format,
-                                tuned_ns,
                             },
                         )
                     })

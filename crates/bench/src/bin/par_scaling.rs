@@ -71,21 +71,8 @@ struct ScalingReport {
     /// the JSON (not just the text table) so downstream consumers
     /// cannot misread an overhead sweep as scaling data.
     caveat: String,
-    /// Conv steps per selected kernel format in the compiled 3EP
-    /// engine's plan (empty under `--no-plan` — the interpreter picks
-    /// formats per call, not per plan). Sorted by format name.
-    engine_formats: Vec<FormatCount>,
     /// One row per thread count.
     rows: Vec<ScalingRow>,
-}
-
-/// Count of conv steps that selected one kernel format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct FormatCount {
-    /// Kernel format label: `pattern`, `coo`, or `dense`.
-    format: String,
-    /// Conv steps in the plan that selected it.
-    steps: u64,
 }
 
 struct Args {
@@ -273,21 +260,6 @@ fn main() {
     } else {
         String::new()
     };
-    let mut counts = std::collections::BTreeMap::new();
-    if args.plan {
-        let summary = engine
-            .plan_summary(&[1, 3, args.image, args.image])
-            .expect("plans");
-        for step in &summary.steps {
-            if step.format != "-" {
-                *counts.entry(step.format.to_string()).or_insert(0u64) += 1;
-            }
-        }
-    }
-    let engine_formats: Vec<FormatCount> = counts
-        .into_iter()
-        .map(|(format, steps)| FormatCount { format, steps })
-        .collect();
     let report = ScalingReport {
         image: args.image as u64,
         channels: args.channels as u64,
@@ -295,7 +267,6 @@ fn main() {
         host_cores: host_cores as u64,
         plan: args.plan,
         caveat,
-        engine_formats,
         rows,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");

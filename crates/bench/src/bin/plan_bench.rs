@@ -57,19 +57,6 @@ struct PlanRow {
     peak_live_bytes: u64,
     /// Activation bytes the interpreter retains (every step's output).
     retained_bytes: u64,
-    /// Conv steps per selected kernel format, from the plan's
-    /// per-layer format choices (RV091-checked).
-    formats: Vec<FormatCount>,
-}
-
-/// Count of conv steps that selected one kernel format, sorted by
-/// format name for stable output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct FormatCount {
-    /// Kernel format label: `pattern`, `coo`, or `dense`.
-    format: String,
-    /// Conv steps in the plan that selected it.
-    steps: u64,
 }
 
 impl PlanRow {
@@ -210,17 +197,6 @@ fn measure(model: &str, mode: &str, entry: Option<EntryPattern>, args: &Args) ->
         },
     );
 
-    let mut counts = std::collections::BTreeMap::new();
-    for step in &summary.steps {
-        if step.format != "-" {
-            *counts.entry(step.format.to_string()).or_insert(0u64) += 1;
-        }
-    }
-    let formats = counts
-        .into_iter()
-        .map(|(format, steps)| FormatCount { format, steps })
-        .collect();
-
     PlanRow {
         model: model.to_string(),
         mode: mode.to_string(),
@@ -231,7 +207,6 @@ fn measure(model: &str, mode: &str, entry: Option<EntryPattern>, args: &Args) ->
         arena_bytes: summary.arena_bytes,
         peak_live_bytes: summary.peak_live_bytes,
         retained_bytes: summary.retained_bytes,
-        formats,
     }
 }
 
@@ -276,11 +251,6 @@ fn main() {
                 format!("{}", r.peak_live_bytes / 1024),
                 format!("{}", r.retained_bytes / 1024),
                 format!("{:.0}%", 100.0 * r.memory_saving()),
-                r.formats
-                    .iter()
-                    .map(|f| format!("{}:{}", f.format, f.steps))
-                    .collect::<Vec<_>>()
-                    .join(" "),
             ]
         })
         .collect();
@@ -296,7 +266,6 @@ fn main() {
         "live KiB",
         "interp KiB",
         "mem saved",
-        "formats",
     ];
     let title = "Compile-before-run: planned (fused, arena) vs per-call interpreter";
     print_table(title, &headers, &table);

@@ -1,57 +1,53 @@
-//! Sparse convolution executors.
+//! Sparse convolution execution: one tiled driver over one [`Pack`].
 //!
-//! Every executor computes exactly the same result as
+//! Every convolution computes exactly the same result as
 //! [`rtoss_tensor::ops::conv2d`] on the masked dense weights (up to
-//! f32 summation order); they differ in how they traverse the
-//! surviving weights:
+//! f32 summation order), through one of two bodies:
 //!
-//! - [`conv2d_pattern_sparse`]: register-tiled microkernel path over
-//!   the layer's [`PatternPack`] — per [`NR`]-wide output-row segment
-//!   a stack accumulator tile takes every kernel's taps through the
-//!   arity-monomorphized [`rtoss_tensor::microkernel`] bodies, then
-//!   writes back once with the fused epilogue. Regular,
-//!   cache-friendly, and work ∝ surviving weights.
-//! - [`conv2d_unstructured`]: the same tile walk over a [`CooPack`],
-//!   but every `(oc, ic)` run dispatches through the arity-*generic*
-//!   body — no fixed-tap monomorphization, modelling the
-//!   irregularity penalty the paper attributes to unstructured
-//!   sparsity (§II.B).
-//! - [`conv2d_dense`]: all `k×k` taps of every kernel, zeros
-//!   included — the autotuner's dense candidate for layers that kept
-//!   most of their weights.
+//! - [`conv2d_packed_into`]: the register-tiled driver. Per [`NR`]-wide
+//!   output-row segment a stack accumulator tile takes every packed
+//!   kernel's taps through the [`rtoss_tensor::microkernel`] bodies,
+//!   then writes back once with the fused epilogue. Work ∝ surviving
+//!   weights. A pack whose entries all store the same tap count (every
+//!   legal R-TOSS layer; 9 for an unpruned 3×3 layer, 1 for a 1×1
+//!   layer) runs one arity-monomorphized body with no per-kernel
+//!   dispatch; a mixed-arity pack (COO storage of irregular weights,
+//!   corruption fixtures) dispatches per kernel inside the same walk.
+//!   Measured against an arity-generic per-run loop, the hoisted body
+//!   is worth 4–6% on a whole twin16 forward and 0.5% on its heaviest
+//!   3×3 layer; which layers carry the difference is unverified.
 //! - [`conv2d_pattern_scalar_into_with`]: the scalar reference — one
-//!   row-sweep per tap, no tiling. The proptests and RV092 pin every
-//!   tiled variant bit-identical to this.
+//!   row-sweep per tap, no tiling. The proptests and RV092 pin the
+//!   driver bit-identical to this.
+//!
+//! [`conv2d_pattern_sparse_with`] and [`conv2d_unstructured_with`] are
+//! the `Tensor`-returning entries for the two storage formats; both
+//! hand their layer's pack to the driver.
 //!
 //! # Canonical accumulation order
 //!
-//! All four paths accumulate each output element as `bias`, then taps
-//! in ascending `(ic, ky, kx)` order (the pack order). f32 addition
-//! does not commute in rounding, so sharing one chain is what makes
-//! the paths bit-identical to each other — and therefore lets the
-//! plan-time format autotuner swap kernels per layer without changing
-//! a single output bit. The dense path additionally adds `0.0 * x`
-//! for pruned taps, which is bitwise inert except when an output
-//! element is exactly `±0.0` *and* the layer bias is `-0.0` — the
-//! executors' contract excludes negative-zero biases.
+//! Both bodies accumulate each output element as `bias`, then taps in
+//! ascending `(ic, ky, kx)` order (the pack order). f32 addition does
+//! not commute in rounding, so sharing one chain is what makes a
+//! layer's pattern pack, its COO pack and the scalar reference agree
+//! bit for bit. Explicitly stored zero taps add `0.0 * x`, which is
+//! bitwise inert except when an output element is exactly `±0.0` *and*
+//! the layer bias is `-0.0` — the executors' contract excludes
+//! negative-zero biases.
 //!
-//! Every executor tiles its output into `(batch, out-channel)` planes
-//! and runs the tiles across scoped threads (`*_with` variants take an
-//! [`ExecConfig`]; the plain variants use the process default). Tiles
-//! own disjoint `&mut` output slices, and each plane accumulates in the
-//! serial sweep's floating-point order, so results are bit-identical
-//! for every thread count.
+//! The output is tiled into `(batch, out-channel)` planes run across
+//! `exec.threads` scoped threads. Tiles own disjoint `&mut` output
+//! slices, and each plane accumulates in the serial sweep's
+//! floating-point order, so results are bit-identical for every thread
+//! count.
 //!
-//! [`PatternPack`]: crate::pack::PatternPack
-//! [`CooPack`]: crate::pack::CooPack
 //! [`NR`]: rtoss_tensor::microkernel::NR
 
 use crate::format::{PatternCompressedConv, UnstructuredSparseConv};
-use crate::pack::PatternPack;
+use crate::pack::Pack;
 use rtoss_tensor::exec::{run_tiles, Epilogue, ExecConfig};
 use rtoss_tensor::microkernel::{
-    accum_kernel, accum_taps, accum_taps_dyn, pad_plane_into, padded_plane_len, writeback,
-    FastDivmod, Tile, MR, NR,
+    accum_kernel, accum_taps, pad_plane_into, padded_plane_len, writeback, FastDivmod, Tile, MR, NR,
 };
 use rtoss_tensor::ops::out_extent;
 use rtoss_tensor::{Tensor, TensorError};
@@ -157,8 +153,7 @@ pub fn conv_output_shape(
     Ok([n, out_ch, oh, ow])
 }
 
-/// Geometry every `*_into_with` executor shares, resolved once by
-/// [`check_conv_into`].
+/// Geometry both bodies share, resolved once by [`check_conv_into`].
 #[derive(Debug, Clone, Copy)]
 struct ConvGeom {
     n: usize,
@@ -173,22 +168,19 @@ struct ConvGeom {
     pad: usize,
 }
 
-/// Validates input geometry plus the bias/epilogue/output-buffer
-/// lengths shared by every into-variant.
-#[allow(clippy::too_many_arguments)]
+/// Validates the input geometry against the pack's plus the
+/// bias/epilogue/output-buffer lengths.
 fn check_conv_into(
     op: &'static str,
     x_shape: &[usize],
-    in_ch: usize,
-    out_ch: usize,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
+    pack: &Pack,
     bias: Option<&[f32]>,
     epilogue: &Epilogue<'_>,
     out_len: usize,
 ) -> Result<ConvGeom, TensorError> {
-    let (n, h, w, oh, ow) = check_input(x_shape, in_ch, kernel, stride, pad, op)?;
+    let out_ch = pack.out_ch;
+    let (n, h, w, oh, ow) =
+        check_input(x_shape, pack.in_ch, pack.kernel, pack.stride, pack.pad, op)?;
     if let Some(b) = bias {
         if b.len() != out_ch {
             return Err(TensorError::Invalid {
@@ -218,49 +210,57 @@ fn check_conv_into(
     }
     Ok(ConvGeom {
         n,
-        c: in_ch,
+        c: pack.in_ch,
         h,
         w,
         o: out_ch,
         oh,
         ow,
-        k: kernel,
-        stride,
-        pad,
+        k: pack.kernel,
+        stride: pack.stride,
+        pad: pack.pad,
     })
 }
 
-/// Shared Tensor-returning entry point: shape-check, zeroed buffer,
-/// delegate to the `*_into_with` body, wrap the result. Every format's
-/// convenience wrapper goes through here instead of repeating the
-/// boilerplate.
-#[allow(clippy::too_many_arguments)]
+/// Shared `Tensor`-returning entry: zeroed buffer, run the driver over
+/// `pack`, wrap the result.
 fn conv_entry(
     x: &Tensor,
-    op: &'static str,
-    in_ch: usize,
-    out_ch: usize,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-    run: impl FnOnce(&mut [f32]) -> Result<[usize; 4], TensorError>,
+    pack: &Pack,
+    bias: Option<&[f32]>,
+    exec: &ExecConfig,
 ) -> Result<Tensor, TensorError> {
-    let shape = conv_output_shape(x.shape(), in_ch, out_ch, kernel, stride, pad, op)?;
+    let shape = conv_output_shape(
+        x.shape(),
+        pack.in_ch,
+        pack.out_ch,
+        pack.kernel,
+        pack.stride,
+        pack.pad,
+        "conv2d_packed",
+    )?;
     let mut out = vec![0.0f32; shape.iter().product()];
-    run(&mut out)?;
+    conv2d_packed_into(
+        x.as_slice(),
+        x.shape(),
+        pack,
+        bias,
+        &Epilogue::NONE,
+        &mut out,
+        exec,
+    )?;
     Tensor::from_vec(out, &shape)
 }
 
-/// Register-tiled `(batch, out-channel)`-plane driver shared by the
-/// pattern, COO, and dense executors. Stages the input into
-/// zero-padded planes (one pass — see the microkernel module docs),
-/// then walks each output plane in [`MR`]×[`NR`] tiles and hands each
-/// tile to `tile_fn(oc, tile, x_batch, out_plane)`. Block and plane
-/// indices are decomposed with [`FastDivmod`] — no hardware divide on
-/// the walk.
+/// Register-tiled `(batch, out-channel)`-plane walk under
+/// [`conv2d_packed_into`]. Stages the input into zero-padded planes
+/// (one pass — see the microkernel module docs), then walks each output
+/// plane in [`MR`]×[`NR`] tiles and hands each tile to
+/// `tile_fn(oc, tile, x_batch, out_plane)`. Block and plane indices are
+/// decomposed with [`FastDivmod`] — no hardware divide on the walk.
 ///
 /// `tile_fn` owns the whole tile body: it creates the accumulator
-/// block, runs the format's canonical tap chain over it, and writes
+/// block, runs the pack's canonical tap chain over it, and writes
 /// back with the fused epilogue. That ownership is deliberate — the
 /// block must live and die inside one function frame whose callees
 /// are all `#[inline(always)]`, so its address never crosses a real
@@ -270,8 +270,8 @@ fn conv_entry(
 /// inliner may keep the call, and an escaped alloca is stack-bound.
 ///
 /// `x_batch` is the staged batch slice; in-channel plane `ic` starts
-/// at `ic * padded_plane_len(...)` within it (the executors compute
-/// the same stride from the shared geometry).
+/// at `ic * padded_plane_len(...)` within it (the tile closure
+/// computes the same stride from the shared geometry).
 fn run_tiled_conv(
     x: &[f32],
     g: ConvGeom,
@@ -317,62 +317,44 @@ fn run_tiled_conv(
     });
 }
 
-/// Executes a pattern-compressed convolution: `x (N,C,H,W) → (N,O,oh,ow)`.
+/// Executes a pattern-compressed convolution through the layer's pack:
+/// `x (N,C,H,W) → (N,O,oh,ow)`.
 ///
 /// # Errors
 ///
 /// Returns an error if the input rank/channels do not match the layer
 /// or the kernel does not fit.
-pub fn conv2d_pattern_sparse(
-    x: &Tensor,
-    layer: &PatternCompressedConv,
-    bias: Option<&[f32]>,
-) -> Result<Tensor, TensorError> {
-    conv2d_pattern_sparse_with(x, layer, bias, &ExecConfig::default())
-}
-
-/// [`conv2d_pattern_sparse`] with an explicit [`ExecConfig`].
-///
-/// The output is tiled into `(batch, out-channel)` planes dispatched
-/// across `exec.threads` scoped threads. Each plane accumulates its
-/// kernels in the canonical pack order, so every thread count produces
-/// bit-identical results.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_pattern_sparse`].
 pub fn conv2d_pattern_sparse_with(
     x: &Tensor,
     layer: &PatternCompressedConv,
     bias: Option<&[f32]>,
     exec: &ExecConfig,
 ) -> Result<Tensor, TensorError> {
-    conv_entry(
-        x,
-        "conv2d_pattern_sparse",
-        layer.in_channels(),
-        layer.out_channels(),
-        layer.kernel_size(),
-        layer.stride(),
-        layer.padding(),
-        |out| {
-            conv2d_pattern_sparse_into_with(
-                x.as_slice(),
-                x.shape(),
-                layer,
-                bias,
-                &Epilogue::NONE,
-                out,
-                exec,
-            )
-        },
-    )
+    debug_validate(|| layer.validate());
+    conv_entry(x, layer.pack(), bias, exec)
 }
 
-/// Write-into-buffer variant of [`conv2d_pattern_sparse_with`] with an
-/// [`Epilogue`] hook: the compiled execution plan's pattern-format
-/// conv step, running the register-tiled monomorphized microkernels
-/// over the layer's prebuilt [`PatternPack`].
+/// Executes an unstructured (COO) sparse convolution through the
+/// layer's pack — the same driver as [`conv2d_pattern_sparse_with`].
+///
+/// # Errors
+///
+/// Returns an error if the input rank/channels do not match the layer
+/// or the kernel does not fit.
+pub fn conv2d_unstructured_with(
+    x: &Tensor,
+    layer: &UnstructuredSparseConv,
+    bias: Option<&[f32]>,
+    exec: &ExecConfig,
+) -> Result<Tensor, TensorError> {
+    debug_validate(|| layer.validate());
+    conv_entry(x, layer.pack(), bias, exec)
+}
+
+/// The one tiled conv driver: runs `pack` over the input, writing into
+/// a caller-provided buffer with an [`Epilogue`] hook. This is the
+/// compiled execution plan's conv step and the body under both
+/// `Tensor`-returning entries.
 ///
 /// `x`/`x_shape` describe the input (an arena slice — no `Tensor`
 /// allocation on the hot path); the result is written into `out`, which
@@ -388,76 +370,51 @@ pub fn conv2d_pattern_sparse_with(
 ///
 /// # Errors
 ///
-/// Same conditions as [`conv2d_pattern_sparse`], plus mismatched
-/// epilogue or output-buffer lengths.
-///
-/// [`PatternPack`]: crate::pack::PatternPack
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_pattern_sparse_into_with(
+/// Returns an error if the input rank/channels do not match the pack,
+/// the kernel does not fit, or the bias, epilogue or output-buffer
+/// lengths are wrong.
+pub fn conv2d_packed_into(
     x: &[f32],
     x_shape: &[usize],
-    layer: &PatternCompressedConv,
+    pack: &Pack,
     bias: Option<&[f32]>,
     epilogue: &Epilogue<'_>,
     out: &mut [f32],
     exec: &ExecConfig,
 ) -> Result<[usize; 4], TensorError> {
-    let g = check_conv_into(
-        "conv2d_pattern_sparse",
-        x_shape,
-        layer.in_channels(),
-        layer.out_channels(),
-        layer.kernel_size(),
-        layer.stride(),
-        layer.padding(),
-        bias,
-        epilogue,
-        out.len(),
-    )?;
-    debug_validate_pattern(layer);
-    let pack = layer.pack();
-    // Legal layers have a uniform per-kernel tap count (RV001), so the
-    // arity dispatch hoists out of the tile walk entirely: every tile
-    // runs one monomorphized unrolled body with no per-kernel match.
+    let g = check_conv_into("conv2d_packed", x_shape, pack, bias, epilogue, out.len())?;
+    // A uniform per-kernel tap count hoists the arity dispatch out of
+    // the tile walk entirely: every tile runs one monomorphized
+    // unrolled body with no per-kernel match.
+    let t = exec.threads;
     match pack.uniform_arity() {
-        Some(1) => run_pattern_arity::<1>(x, g, bias, epilogue, out, exec.threads, pack),
-        Some(2) => run_pattern_arity::<2>(x, g, bias, epilogue, out, exec.threads, pack),
-        Some(3) => run_pattern_arity::<3>(x, g, bias, epilogue, out, exec.threads, pack),
-        Some(4) => run_pattern_arity::<4>(x, g, bias, epilogue, out, exec.threads, pack),
-        Some(5) => run_pattern_arity::<5>(x, g, bias, epilogue, out, exec.threads, pack),
-        _ => {
-            // Mixed or empty pack (corruption fixtures): per-kernel
-            // dispatch through the shared match.
-            let php = padded_plane_len(g.h, g.w, g.pad, g.stride, g.k);
-            let c = g.c;
-            let ow = g.ow;
-            run_tiled_conv(x, g, out, exec.threads, |oc, tile, x_batch, out_plane| {
-                let mut acc = [[bias.map_or(0.0, |b| b[oc]); NR]; MR];
-                for (ic, taps, vals) in pack.oc_kernels(oc) {
-                    if ic >= c {
-                        continue; // corrupt layer; RV011 rejects pre-flight
-                    }
-                    accum_kernel(&mut acc, &x_batch[ic * php..], tile, taps, vals);
-                }
-                writeback(out_plane, ow, tile, &acc, oc, epilogue);
-            });
-        }
+        Some(1) => run_pack_arity::<1>(x, g, bias, epilogue, out, t, pack),
+        Some(2) => run_pack_arity::<2>(x, g, bias, epilogue, out, t, pack),
+        Some(3) => run_pack_arity::<3>(x, g, bias, epilogue, out, t, pack),
+        Some(4) => run_pack_arity::<4>(x, g, bias, epilogue, out, t, pack),
+        Some(5) => run_pack_arity::<5>(x, g, bias, epilogue, out, t, pack),
+        Some(9) => run_pack_arity::<9>(x, g, bias, epilogue, out, t, pack),
+        _ => run_pack_arity::<MIXED>(x, g, bias, epilogue, out, t, pack),
     }
     Ok([g.n, g.o, g.oh, g.ow])
 }
 
-/// Pattern tile walk monomorphized on the layer's uniform tap arity
+/// `T` for [`run_pack_arity`] on a pack without a hoistable arity.
+const MIXED: usize = 0;
+
+/// The tile walk over `pack`, monomorphized on its uniform tap arity
 /// `T`: the per-kernel loop body is a single unrolled `T`-tap
-/// accumulation, no arity match inside the walk. Same canonical order
-/// (and therefore bitwise output) as the generic path.
-fn run_pattern_arity<const T: usize>(
+/// accumulation, no arity match inside the walk. `T ==` [`MIXED`]
+/// instead dispatches each kernel on its own tap count. Same canonical
+/// order (and therefore bitwise output) either way.
+fn run_pack_arity<const T: usize>(
     x: &[f32],
     g: ConvGeom,
     bias: Option<&[f32]>,
     epilogue: &Epilogue<'_>,
     out: &mut [f32],
     threads: usize,
-    pack: &PatternPack,
+    pack: &Pack,
 ) {
     let php = padded_plane_len(g.h, g.w, g.pad, g.stride, g.k);
     let c = g.c;
@@ -466,25 +423,28 @@ fn run_pattern_arity<const T: usize>(
         let mut acc = [[bias.map_or(0.0, |b| b[oc]); NR]; MR];
         for (ic, taps, vals) in pack.oc_kernels(oc) {
             if ic >= c {
-                continue; // corrupt layer; RV011 rejects pre-flight
+                continue; // corrupt layer; RV011/RV013 reject pre-flight
             }
-            accum_taps::<T>(&mut acc, &x_batch[ic * php..], tile, taps, vals);
+            if T == MIXED {
+                accum_kernel(&mut acc, &x_batch[ic * php..], tile, taps, vals);
+            } else {
+                accum_taps::<T>(&mut acc, &x_batch[ic * php..], tile, taps, vals);
+            }
         }
         writeback(out_plane, ow, tile, &acc, oc, epilogue);
     });
 }
 
-/// Scalar-reference twin of [`conv2d_pattern_sparse_into_with`]: same
-/// canonical accumulation order (pack order — `bias`, then taps by
-/// ascending `(ic, ky, kx)`), but one whole-plane row sweep per tap
-/// and a per-plane epilogue instead of register tiling. Every tiled
-/// variant is pinned bit-identical to this by the kernel proptests and
-/// RV092; `kernel_bench` uses it as the speed baseline.
+/// Scalar-reference twin of [`conv2d_packed_into`] on the layer's own
+/// pack: same canonical accumulation order (pack order — `bias`, then
+/// taps by ascending `(ic, ky, kx)`), but one whole-plane row sweep per
+/// tap and a per-plane epilogue instead of register tiling. The driver
+/// is pinned bit-identical to this by the kernel proptests and RV092;
+/// `kernel_bench` uses it as the speed baseline.
 ///
 /// # Errors
 ///
-/// Same conditions as [`conv2d_pattern_sparse_into_with`].
-#[allow(clippy::too_many_arguments)]
+/// Same conditions as [`conv2d_packed_into`].
 pub fn conv2d_pattern_scalar_into_with(
     x: &[f32],
     x_shape: &[usize],
@@ -494,22 +454,18 @@ pub fn conv2d_pattern_scalar_into_with(
     out: &mut [f32],
     exec: &ExecConfig,
 ) -> Result<[usize; 4], TensorError> {
+    let pack = layer.pack();
     let g = check_conv_into(
         "conv2d_pattern_scalar",
         x_shape,
-        layer.in_channels(),
-        layer.out_channels(),
-        layer.kernel_size(),
-        layer.stride(),
-        layer.padding(),
+        pack,
         bias,
         epilogue,
         out.len(),
     )?;
-    debug_validate_pattern(layer);
+    debug_validate(|| layer.validate());
     let plane = g.oh * g.ow;
     let hw = g.h * g.w;
-    let pack = layer.pack();
     let tiles: Vec<(usize, &mut [f32])> = out.chunks_mut(plane).enumerate().collect();
     run_tiles(tiles, exec.threads, |(tile, out_plane)| {
         let (ni, oc) = (tile / g.o, tile % g.o);
@@ -542,259 +498,18 @@ pub fn conv2d_pattern_scalar_into_with(
     Ok([g.n, g.o, g.oh, g.ow])
 }
 
-/// Executes an unstructured (COO) sparse convolution.
-///
-/// # Errors
-///
-/// Returns an error if the input rank/channels do not match the layer
-/// or the kernel does not fit.
-pub fn conv2d_unstructured(
-    x: &Tensor,
-    layer: &UnstructuredSparseConv,
-    bias: Option<&[f32]>,
-) -> Result<Tensor, TensorError> {
-    conv2d_unstructured_with(x, layer, bias, &ExecConfig::default())
-}
-
-/// [`conv2d_unstructured`] with an explicit [`ExecConfig`].
-///
-/// Same `(batch, out-channel)`-plane tiling as the pattern executor;
-/// each plane replays its COO runs in entry order, so results are
-/// bit-identical for every thread count.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_unstructured`].
-pub fn conv2d_unstructured_with(
-    x: &Tensor,
-    layer: &UnstructuredSparseConv,
-    bias: Option<&[f32]>,
-    exec: &ExecConfig,
-) -> Result<Tensor, TensorError> {
-    conv_entry(
-        x,
-        "conv2d_unstructured",
-        layer.in_channels(),
-        layer.out_channels(),
-        layer.kernel_size(),
-        layer.stride(),
-        layer.padding(),
-        |out| {
-            conv2d_unstructured_into_with(
-                x.as_slice(),
-                x.shape(),
-                layer,
-                bias,
-                &Epilogue::NONE,
-                out,
-                exec,
-            )
-        },
-    )
-}
-
-/// Write-into-buffer variant of [`conv2d_unstructured_with`] with an
-/// [`Epilogue`] hook; the COO twin of
-/// [`conv2d_pattern_sparse_into_with`] (same buffer contract, same
-/// register-tiled walk) — but every `(oc, ic)` run goes through the
-/// arity-*generic* microkernel body: the run length is data-dependent,
-/// so there is no fixed-arity monomorphization to dispatch into. That
-/// is the irregular path the paper contrasts pattern grouping against.
-///
-/// Returns the output shape `[n, out_channels, oh, ow]`.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_unstructured`], plus mismatched epilogue
-/// or output-buffer lengths.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_unstructured_into_with(
-    x: &[f32],
-    x_shape: &[usize],
-    layer: &UnstructuredSparseConv,
-    bias: Option<&[f32]>,
-    epilogue: &Epilogue<'_>,
-    out: &mut [f32],
-    exec: &ExecConfig,
-) -> Result<[usize; 4], TensorError> {
-    let g = check_conv_into(
-        "conv2d_unstructured",
-        x_shape,
-        layer.in_channels(),
-        layer.out_channels(),
-        layer.kernel_size(),
-        layer.stride(),
-        layer.padding(),
-        bias,
-        epilogue,
-        out.len(),
-    )?;
-    // Debug-build checkpoint: a corrupt artifact (out-of-bounds channel
-    // or offset) would otherwise surface as wrong output. Release
-    // builds rely on the opt-in `rtoss-verify` pre-flight pass instead
-    // of paying this on every forward.
-    #[cfg(debug_assertions)]
-    {
-        let violations = layer.validate();
-        debug_assert!(
-            violations.is_empty(),
-            "conv2d_unstructured on invalid layer: {violations:?}"
-        );
-    }
-    let php = padded_plane_len(g.h, g.w, g.pad, g.stride, g.k);
-    let c = g.c;
-    let ow = g.ow;
-    let pack = layer.pack();
-    run_tiled_conv(x, g, out, exec.threads, |oc, tile, x_batch, out_plane| {
-        let mut acc = [[bias.map_or(0.0, |b| b[oc]); NR]; MR];
-        for (ic, taps, vals) in pack.oc_runs(oc) {
-            if ic >= c {
-                continue; // corrupt layer; RV013 rejects pre-flight
-            }
-            // Data-dependent arity: always the generic body.
-            accum_taps_dyn(&mut acc, &x_batch[ic * php..], tile, taps, vals);
-        }
-        writeback(out_plane, ow, tile, &acc, oc, epilogue);
-    });
-    Ok([g.n, g.o, g.oh, g.ow])
-}
-
-/// Executes a dense conv through the canonical-order tiled path.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_dense_with`].
-pub fn conv2d_dense(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&[f32]>,
-    stride: usize,
-    pad: usize,
-) -> Result<Tensor, TensorError> {
-    conv2d_dense_with(x, w, bias, stride, pad, &ExecConfig::default())
-}
-
-/// [`conv2d_dense`] with an explicit [`ExecConfig`].
-///
-/// This is the autotuner's dense candidate, **not** a replacement for
-/// [`rtoss_tensor::ops::conv2d`]: it accumulates bias-first in the
-/// canonical `(ic, ky, kx)` tap order (zero taps included, which is
-/// bitwise inert — see the module docs), so its output is
-/// bit-identical to the sparse executors on the same weights, whereas
-/// the im2col+GEMM path adds bias after the matmul and rounds
-/// differently.
-///
-/// # Errors
-///
-/// Returns an error if the weight is not rank-4 square or the input
-/// does not match it.
-pub fn conv2d_dense_with(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&[f32]>,
-    stride: usize,
-    pad: usize,
-    exec: &ExecConfig,
-) -> Result<Tensor, TensorError> {
-    let (o, c, k) = check_dense_weight(w)?;
-    conv_entry(x, "conv2d_dense", c, o, k, stride, pad, |out| {
-        conv2d_dense_into_with(
-            x.as_slice(),
-            x.shape(),
-            w,
-            stride,
-            pad,
-            bias,
-            &Epilogue::NONE,
-            out,
-            exec,
-        )
-    })
-}
-
-fn check_dense_weight(w: &Tensor) -> Result<(usize, usize, usize), TensorError> {
-    let ws = w.shape();
-    if ws.len() != 4 || ws[2] != ws[3] {
-        return Err(TensorError::Invalid {
-            op: "conv2d_dense",
-            msg: format!("expected rank-4 square-kernel weights, got {ws:?}"),
-        });
-    }
-    Ok((ws[0], ws[1], ws[2]))
-}
-
-/// Write-into-buffer dense conv in the canonical accumulation order —
-/// the execution plan's dense-format conv step (see
-/// [`conv2d_dense_with`] for why this exists alongside the im2col
-/// path). All `k×k` taps run through the same register-tiled walk as
-/// the sparse formats; for 3×3 kernels that is the monomorphized
-/// 9-tap body.
-///
-/// Returns the output shape `[n, out_channels, oh, ow]`.
-///
-/// # Errors
-///
-/// Returns an error on non-square weights, mismatched input geometry,
-/// or mismatched epilogue/output-buffer lengths.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_dense_into_with(
-    x: &[f32],
-    x_shape: &[usize],
-    w: &Tensor,
-    stride: usize,
-    pad: usize,
-    bias: Option<&[f32]>,
-    epilogue: &Epilogue<'_>,
-    out: &mut [f32],
-    exec: &ExecConfig,
-) -> Result<[usize; 4], TensorError> {
-    let (o, c, k) = check_dense_weight(w)?;
-    let g = check_conv_into(
-        "conv2d_dense",
-        x_shape,
-        c,
-        o,
-        k,
-        stride,
-        pad,
-        bias,
-        epilogue,
-        out.len(),
-    )?;
-    let kk = k * k;
-    // The full tap window in canonical (ky, kx) order, shared by every
-    // kernel — the dense analogue of a pattern group's offset slice.
-    let full_taps: Vec<(u8, u8)> = (0..k as u8)
-        .flat_map(|ky| (0..k as u8).map(move |kx| (ky, kx)))
-        .collect();
-    let wd = w.as_slice();
-    let php = padded_plane_len(g.h, g.w, g.pad, g.stride, g.k);
-    let ow = g.ow;
-    run_tiled_conv(x, g, out, exec.threads, |oc, tile, x_batch, out_plane| {
-        let mut acc = [[bias.map_or(0.0, |b| b[oc]); NR]; MR];
-        for ic in 0..c {
-            let vals = &wd[(oc * c + ic) * kk..(oc * c + ic + 1) * kk];
-            accum_kernel(&mut acc, &x_batch[ic * php..], tile, &full_taps, vals);
-        }
-        writeback(out_plane, ow, tile, &acc, oc, epilogue);
-    });
-    Ok([g.n, g.o, g.oh, g.ow])
-}
-
 /// Debug-build checkpoint: a corrupt artifact (out-of-bounds channel
 /// or offset) would otherwise surface as silently-wrong output in the
 /// tiled workers. Release builds rely on the opt-in `rtoss-verify`
 /// pre-flight pass instead of paying this on every forward.
-fn debug_validate_pattern(layer: &PatternCompressedConv) {
-    #[cfg(debug_assertions)]
-    {
-        let violations = layer.validate();
-        debug_assert!(
+pub(crate) fn debug_validate(violations: impl FnOnce() -> Vec<crate::FormatViolation>) {
+    if cfg!(debug_assertions) {
+        let violations = violations();
+        assert!(
             violations.is_empty(),
-            "pattern executor on invalid layer: {violations:?}"
+            "conv executor on invalid layer: {violations:?}"
         );
     }
-    let _ = layer;
 }
 
 #[cfg(test)]
@@ -826,7 +541,8 @@ mod tests {
             let bias: Vec<f32> = (0..6).map(|v| v as f32 * 0.1).collect();
             let dense = ops::conv2d(&x, &w, Some(&bias), stride, pad).unwrap();
             let pc = PatternCompressedConv::from_dense(&w, stride, pad).unwrap();
-            let sparse = conv2d_pattern_sparse(&x, &pc, Some(&bias)).unwrap();
+            let sparse =
+                conv2d_pattern_sparse_with(&x, &pc, Some(&bias), &ExecConfig::default()).unwrap();
             assert_close(&sparse, &dense, 1e-4);
         }
     }
@@ -837,12 +553,12 @@ mod tests {
         let x = init::uniform(&mut init::rng(14), &[1, 3, 7, 7], -1.0, 1.0);
         let dense = ops::conv2d(&x, &w, None, 1, 1).unwrap();
         let un = UnstructuredSparseConv::from_dense(&w, 1, 1).unwrap();
-        let sparse = conv2d_unstructured(&x, &un, None).unwrap();
+        let sparse = conv2d_unstructured_with(&x, &un, None, &ExecConfig::default()).unwrap();
         assert_close(&sparse, &dense, 1e-4);
     }
 
     #[test]
-    fn all_formats_bit_identical_on_same_weights() {
+    fn both_packs_bit_identical_to_scalar_on_same_weights() {
         for &(stride, pad, batch) in &[(1usize, 1usize, 2usize), (2, 1, 1), (1, 0, 1)] {
             let w = pruned(2, 8, 5, 15);
             let x = init::uniform(&mut init::rng(16), &[batch, 5, 12, 11], -1.0, 1.0);
@@ -853,20 +569,6 @@ mod tests {
             let a = conv2d_pattern_sparse_with(&x, &pc, Some(&bias), &cfg).unwrap();
             let b = conv2d_unstructured_with(&x, &un, Some(&bias), &cfg).unwrap();
             assert_eq!(a.as_slice(), b.as_slice(), "pattern vs coo s{stride}p{pad}");
-            let mut d = vec![0.0f32; a.numel()];
-            conv2d_dense_into_with(
-                x.as_slice(),
-                x.shape(),
-                &w,
-                stride,
-                pad,
-                Some(&bias),
-                &Epilogue::NONE,
-                &mut d,
-                &cfg,
-            )
-            .unwrap();
-            assert_eq!(a.as_slice(), &d[..], "pattern vs dense s{stride}p{pad}");
             let mut sc = vec![0.0f32; a.numel()];
             conv2d_pattern_scalar_into_with(
                 x.as_slice(),
@@ -891,7 +593,11 @@ mod tests {
         let x = init::uniform(&mut init::rng(18), &[1, 4, 6, 6], -1.0, 1.0);
         let dense = ops::conv2d(&x, &w, None, 1, 0).unwrap();
         let pc = PatternCompressedConv::from_dense(&w, 1, 0).unwrap();
-        assert_close(&conv2d_pattern_sparse(&x, &pc, None).unwrap(), &dense, 1e-4);
+        assert_close(
+            &conv2d_pattern_sparse_with(&x, &pc, None, &ExecConfig::default()).unwrap(),
+            &dense,
+            1e-4,
+        );
     }
 
     #[test]
@@ -921,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_with_fused_epilogue_match_separate_passes() {
+    fn driver_with_fused_epilogue_matches_separate_passes() {
         let w = pruned(3, 6, 4, 31);
         let x = init::uniform(&mut init::rng(32), &[2, 4, 9, 9], -1.0, 1.0);
         let bias: Vec<f32> = (0..6).map(|v| v as f32 * 0.1 - 0.2).collect();
@@ -944,8 +650,12 @@ mod tests {
             }
             want
         };
-        let want = unfused_then_epilogue(&conv2d_pattern_sparse(&x, &pc, Some(&bias)).unwrap());
-        let want_un = unfused_then_epilogue(&conv2d_unstructured(&x, &un, Some(&bias)).unwrap());
+        let want = unfused_then_epilogue(
+            &conv2d_pattern_sparse_with(&x, &pc, Some(&bias), &ExecConfig::default()).unwrap(),
+        );
+        let want_un = unfused_then_epilogue(
+            &conv2d_unstructured_with(&x, &un, Some(&bias), &ExecConfig::default()).unwrap(),
+        );
         assert_eq!(want, want_un, "formats share the canonical order");
         let epi = Epilogue {
             affine: Some((&scale, &shift)),
@@ -955,10 +665,10 @@ mod tests {
             let cfg = ExecConfig::with_threads(threads);
             // Dirty buffers prove every element is overwritten.
             let mut got = vec![f32::NAN; 2 * 6 * plane];
-            let shape = conv2d_pattern_sparse_into_with(
+            let shape = conv2d_packed_into(
                 x.as_slice(),
                 x.shape(),
-                &pc,
+                pc.pack(),
                 Some(&bias),
                 &epi,
                 &mut got,
@@ -968,10 +678,10 @@ mod tests {
             assert_eq!(shape, [2, 6, 9, 9]);
             assert_eq!(got, want, "pattern t={threads}");
             let mut got_un = vec![f32::NAN; 2 * 6 * plane];
-            conv2d_unstructured_into_with(
+            conv2d_packed_into(
                 x.as_slice(),
                 x.shape(),
-                &un,
+                un.pack(),
                 Some(&bias),
                 &epi,
                 &mut got_un,
@@ -983,16 +693,16 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_reject_bad_buffers_and_epilogues() {
+    fn driver_rejects_bad_buffers_and_epilogues() {
         let w = pruned(3, 4, 2, 33);
         let pc = PatternCompressedConv::from_dense(&w, 1, 1).unwrap();
         let x = init::uniform(&mut init::rng(34), &[1, 2, 5, 5], -1.0, 1.0);
         let cfg = ExecConfig::serial();
         let mut short = vec![0.0f32; 3];
-        assert!(conv2d_pattern_sparse_into_with(
+        assert!(conv2d_packed_into(
             x.as_slice(),
             x.shape(),
-            &pc,
+            pc.pack(),
             None,
             &Epilogue::NONE,
             &mut short,
@@ -1002,29 +712,15 @@ mod tests {
         let bad_scale = [1.0f32; 3]; // layer has 4 out channels
         let bad_shift = [0.0f32; 3];
         let mut out = vec![0.0f32; 4 * 25];
-        assert!(conv2d_pattern_sparse_into_with(
+        assert!(conv2d_packed_into(
             x.as_slice(),
             x.shape(),
-            &pc,
+            pc.pack(),
             None,
             &Epilogue {
                 affine: Some((&bad_scale, &bad_shift)),
                 act: None,
             },
-            &mut out,
-            &cfg,
-        )
-        .is_err());
-        // Dense path: non-square weights rejected.
-        let wbad = Tensor::zeros(&[4, 2, 3, 5]);
-        assert!(conv2d_dense_into_with(
-            x.as_slice(),
-            x.shape(),
-            &wbad,
-            1,
-            1,
-            None,
-            &Epilogue::NONE,
             &mut out,
             &cfg,
         )
@@ -1036,9 +732,9 @@ mod tests {
         let w = pruned(3, 4, 2, 19);
         let pc = PatternCompressedConv::from_dense(&w, 1, 1).unwrap();
         let x = Tensor::zeros(&[1, 3, 6, 6]);
-        assert!(conv2d_pattern_sparse(&x, &pc, None).is_err());
+        assert!(conv2d_pattern_sparse_with(&x, &pc, None, &ExecConfig::default()).is_err());
         let x = Tensor::zeros(&[1, 2, 6, 6]);
-        assert!(conv2d_pattern_sparse(&x, &pc, Some(&[0.0])).is_err());
+        assert!(conv2d_pattern_sparse_with(&x, &pc, Some(&[0.0]), &ExecConfig::default()).is_err());
     }
 
     #[test]
@@ -1046,7 +742,8 @@ mod tests {
         let w = Tensor::zeros(&[2, 2, 3, 3]);
         let pc = PatternCompressedConv::from_dense(&w, 1, 1).unwrap();
         let x = init::uniform(&mut init::rng(20), &[1, 2, 4, 4], -1.0, 1.0);
-        let y = conv2d_pattern_sparse(&x, &pc, Some(&[1.5, -0.5])).unwrap();
+        let y = conv2d_pattern_sparse_with(&x, &pc, Some(&[1.5, -0.5]), &ExecConfig::default())
+            .unwrap();
         assert!(y.as_slice()[..16].iter().all(|&v| v == 1.5));
         assert!(y.as_slice()[16..].iter().all(|&v| v == -0.5));
     }

@@ -1,6 +1,6 @@
 //! Compressed storage formats for pruned convolution weights.
 
-use crate::pack::{CooPack, PatternPack};
+use crate::pack::Pack;
 use rtoss_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -83,7 +83,7 @@ pub struct PatternCompressedConv {
     stored_weights: usize,
     /// Kernel-major execution layout, derived from `groups` at
     /// construction so no forward call pays the indexing cost.
-    pack: PatternPack,
+    pack: Pack,
 }
 
 impl PatternCompressedConv {
@@ -138,7 +138,7 @@ impl PatternCompressedConv {
             }
         }
         let groups: Vec<PatternGroup> = by_pattern.into_values().collect();
-        let pack = PatternPack::build(o, &groups);
+        let pack = Pack::from_groups(o, i, k, stride, pad, &groups);
         Ok(PatternCompressedConv {
             out_ch: o,
             in_ch: i,
@@ -224,7 +224,7 @@ impl PatternCompressedConv {
             .flat_map(|g| g.kernels.iter())
             .map(|(_, _, v)| v.len())
             .sum();
-        let pack = PatternPack::build(out_ch, &groups);
+        let pack = Pack::from_groups(out_ch, in_ch, kernel, stride, pad, &groups);
         PatternCompressedConv {
             out_ch,
             in_ch,
@@ -241,17 +241,8 @@ impl PatternCompressedConv {
     /// The kernel-major execution pack derived from the groups at
     /// construction. RV090 proves it reconstructs `to_dense()`
     /// bit-exactly.
-    pub fn pack(&self) -> &PatternPack {
+    pub fn pack(&self) -> &Pack {
         &self.pack
-    }
-
-    /// Mutable pack access — corruption-fixture hook for the RV090/
-    /// RV092 seeded fixtures. Never use outside tests/fixtures: a
-    /// mutated pack no longer agrees with the groups it was derived
-    /// from.
-    #[doc(hidden)]
-    pub fn pack_mut(&mut self) -> &mut PatternPack {
-        &mut self.pack
     }
 
     /// Checks every structural invariant the sparse executor relies on,
@@ -376,9 +367,10 @@ impl PatternCompressedConv {
     }
 }
 
-/// A pruned conv layer stored as per-weight COO triples — the
-/// *unstructured* layout whose irregular access the paper contrasts
-/// against pattern grouping.
+/// A pruned conv layer stored as per-weight COO entries — the
+/// *unstructured* storage the paper contrasts against pattern grouping
+/// (fig6's baseline). It executes through the same [`Pack`] driver as
+/// the pattern form; only the storage differs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnstructuredSparseConv {
     out_ch: usize,
@@ -390,8 +382,8 @@ pub struct UnstructuredSparseConv {
     entries: Vec<(usize, usize, usize, usize, f32)>,
     dense_weights: usize,
     /// Per-output-channel run layout, derived from `entries` at
-    /// construction (see [`CooPack`]).
-    pack: CooPack,
+    /// construction (see [`Pack::from_coo`]).
+    pack: Pack,
 }
 
 impl UnstructuredSparseConv {
@@ -422,7 +414,7 @@ impl UnstructuredSparseConv {
                 }
             }
         }
-        let pack = CooPack::build(o, &entries);
+        let pack = Pack::from_coo(o, i, k, stride, pad, &entries);
         Ok(UnstructuredSparseConv {
             out_ch: o,
             in_ch: i,
@@ -476,7 +468,7 @@ impl UnstructuredSparseConv {
         pad: usize,
         entries: Vec<(usize, usize, usize, usize, f32)>,
     ) -> Self {
-        let pack = CooPack::build(out_ch, &entries);
+        let pack = Pack::from_coo(out_ch, in_ch, kernel, stride, pad, &entries);
         UnstructuredSparseConv {
             out_ch,
             in_ch,
@@ -492,16 +484,8 @@ impl UnstructuredSparseConv {
     /// The run-layout execution pack derived from the entries at
     /// construction. RV090 proves it reconstructs `to_dense()`
     /// bit-exactly.
-    pub fn pack(&self) -> &CooPack {
+    pub fn pack(&self) -> &Pack {
         &self.pack
-    }
-
-    /// Mutable pack access — corruption-fixture hook, the COO twin of
-    /// [`PatternCompressedConv::pack_mut`]. Never use outside
-    /// tests/fixtures.
-    #[doc(hidden)]
-    pub fn pack_mut(&mut self) -> &mut CooPack {
-        &mut self.pack
     }
 
     /// Checks the COO invariants the unstructured executor relies on,

@@ -8,12 +8,17 @@
 //!    inner loop runs a fixed, regular set of offsets — unlike
 //!    unstructured sparsity, whose irregular gathers defeat caching.
 //!
-//! [`PatternCompressedConv`] stores a pruned layer grouped by pattern;
-//! [`exec::conv2d_pattern_sparse`] executes it; and
-//! [`exec::conv2d_unstructured`] executes the same weights through a
-//! per-weight COO path, reproducing the paper's argument that equal
-//! sparsity does *not* mean equal speed. `rtoss-bench`'s `conv_sparse`
-//! bench and the fig6 harness measure all three executors on this CPU.
+//! [`PatternCompressedConv`] stores a pruned layer grouped by pattern
+//! and [`UnstructuredSparseConv`] stores the same weights as per-weight
+//! COO entries (fig6's unstructured baseline). Both build one
+//! kernel-major [`Pack`], and one register-tiled driver,
+//! [`exec::conv2d_packed_into`], executes every pack: what a pattern
+//! buys at run time is a *uniform tap count per kernel*, which lets the
+//! driver run one arity-monomorphized body per layer (measured 4–6% on
+//! a whole twin16 forward over an arity-generic per-run loop, 0.5% on
+//! its heaviest 3×3 layer; which layers carry the difference is
+//! unverified). `rtoss-bench`'s `conv_sparse` bench, `kernel_bench` and
+//! the fig6 harness measure the packs on this CPU.
 //!
 //! # Example
 //!
@@ -47,9 +52,6 @@ pub use format::{
     FormatViolation, PatternCompressedConv, PatternGroup, SparseFormatError, UnstructuredSparseConv,
 };
 pub use model::{SparseModel, SparseModelError};
-pub use pack::{coo_from_pattern, CooPack, PatternPack};
-pub use plan::{
-    AutotuneMode, ExecutionPlan, FormatChoice, LevelDeal, LevelSchedule, PlanOptions, PlanSummary,
-    StepSummary,
-};
+pub use pack::{coo_from_pattern, Pack};
+pub use plan::{ExecutionPlan, LevelDeal, LevelSchedule, PlanSummary, StepSummary};
 pub use rtoss_tensor::exec::ExecConfig;

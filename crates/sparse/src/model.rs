@@ -2,7 +2,7 @@
 //!
 //! Compiles a pruned [`Graph`](rtoss_nn::Graph) into a standalone
 //! executor whose convolution layers run through the pattern-grouped
-//! sparse path ([`exec::conv2d_pattern_sparse`](crate::exec)) with
+//! sparse path ([`exec::conv2d_packed_into`](crate::exec)) with
 //! batch-norm folded into per-channel scale/shift. This is the
 //! "deployment" artefact of the paper's pipeline: the model a Jetson
 //! would actually run after R-TOSS pruning, and the source of the

@@ -1,73 +1,105 @@
-//! Kernel-major pack buffers for the sparse conv formats.
+//! The kernel-major pack: the one execution layout of a sparse conv.
 //!
-//! The pre-pack executors rebuilt a `Vec<Vec<…>>` per-output-channel
-//! index on *every* forward call. A pack is that index built once, at
-//! layer construction (load/plan time), laid out kernel-major in flat
-//! contiguous arrays: per output channel a half-open range of pack
-//! entries, each entry naming its input channel, its tap-offset slice,
-//! and its value slice. The executors then just walk slices — no
-//! per-call allocation, no pointer-chasing through nested `Vec`s.
+//! A [`Pack`] is a layer's surviving weights laid out once, at layer
+//! construction (load/plan time), in flat contiguous arrays: per output
+//! channel a half-open range of entries, each entry naming its input
+//! channel, its tap-offset slice, and its value slice. The tiled driver
+//! ([`crate::exec::conv2d_packed_into`]) and the scalar oracle just
+//! walk slices — no per-call allocation, no pointer-chasing through
+//! nested `Vec`s.
 //!
-//! The pack fixes the **canonical accumulation order** every executor
-//! (scalar reference, pattern-tiled, COO, dense) follows: per output
-//! element the chain is `bias`, then taps in ascending `(ic, ky, kx)`
-//! order. Sharing one order is what makes cross-format bit-identity
-//! (RV092) achievable at all — f32 addition does not commute in
-//! rounding.
+//! The storage formats are *views* that build the same structure:
+//! [`Pack::from_groups`] (pattern-compressed: every kernel of a group
+//! points at the group's one shared offset slice) and
+//! [`Pack::from_coo`] (unstructured: each `(oc, ic)` run owns its
+//! offsets). Which body the driver runs depends only on what the pack
+//! *contains*: a uniform per-entry tap count (every legal R-TOSS layer,
+//! RV001; an unpruned 3×3 layer is uniform 9) hoists the arity dispatch
+//! out of the tile walk, a mixed pack dispatches per entry. Measured
+//! (twin16 128×128, one thread) against an arity-generic per-run loop,
+//! the hoisted body is worth 4–6% on a whole forward and 0.5% on the
+//! heaviest 3×3 layer; which layers carry the difference is
+//! unverified.
+//!
+//! The pack fixes the **canonical accumulation order** the driver and
+//! the scalar reference both follow: per output element the chain is
+//! `bias`, then taps in ascending `(ic, ky, kx)` order. Sharing one
+//! order is what makes pack-vs-oracle bit-identity (RV092) achievable
+//! at all — f32 addition does not commute in rounding.
 //!
 //! Packs are *derived* data: bit-exact reconstruction against the
 //! owning format's `to_dense()` is checked by RV090, and the builders
 //! are total (out-of-range entries from corruption-fixture layers are
-//! dropped, never panicked on — the executors additionally clip every
-//! tap, so even a corrupt pack cannot index out of bounds).
+//! dropped, never panicked on — the driver additionally skips
+//! out-of-range input channels and clips every tap, so even a corrupt
+//! pack cannot index out of bounds).
 
-use crate::format::{PatternGroup, UnstructuredSparseConv};
+use crate::format::{PatternCompressedConv, PatternGroup, UnstructuredSparseConv};
 use rtoss_tensor::Tensor;
 
-/// One pattern-pack entry: a single surviving kernel of one `(oc, ic)`
-/// pair, pointing at its shared offset slice and its packed values.
+/// One pack entry: the surviving taps of one `(oc, ic)` kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackEntry {
+struct Entry {
     /// Input channel the kernel reads.
-    pub ic: u32,
+    ic: u32,
     /// Tap count (length of both slices below).
-    pub taps: u32,
-    /// Start of the tap offsets in [`PatternPack::offsets`].
-    pub off: u32,
-    /// Start of the tap values in [`PatternPack::values`].
-    pub val: u32,
+    taps: u32,
+    /// Start of the tap offsets in `Pack::offsets`.
+    off: u32,
+    /// Start of the tap values in `Pack::values`.
+    val: u32,
 }
 
-/// Flat kernel-major layout of a pattern-compressed layer.
+/// Flat kernel-major execution layout of one sparse conv layer,
+/// geometry included — everything the driver needs.
 ///
-/// Built once by [`crate::format::PatternCompressedConv`]; per output
-/// channel the entries are sorted by ascending input channel (the
-/// canonical order), each sharing its group's offset slice and owning
-/// a contiguous value slice.
+/// Per output channel the entries are in ascending input-channel order
+/// (the canonical order); each owns a contiguous value slice and points
+/// at an offset slice that pattern-built packs share across a group.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PatternPack {
+pub struct Pack {
+    pub(crate) out_ch: usize,
+    pub(crate) in_ch: usize,
+    pub(crate) kernel: usize,
+    pub(crate) stride: usize,
+    pub(crate) pad: usize,
     /// Per output channel, the half-open `[start, end)` range into
     /// `entries`.
     oc_ranges: Vec<(u32, u32)>,
-    entries: Vec<PackEntry>,
-    /// Concatenated per-group tap offsets as `(ky, kx)`, stored once
-    /// per group and shared by every member kernel.
+    entries: Vec<Entry>,
+    /// Concatenated tap offsets as `(ky, kx)`.
     offsets: Vec<(u8, u8)>,
     /// Kernel-major concatenated tap values.
     values: Vec<f32>,
-    /// `Some(t)` iff every packed kernel has exactly `t` taps — true
-    /// for legal R-TOSS layers (RV001: uniform entry count per layer).
-    /// Lets the executor hoist the arity dispatch out of the tile walk.
+    /// `Some(t)` iff every entry has exactly `t` taps.
     uniform: Option<u32>,
 }
 
-impl PatternPack {
-    /// Builds the pack from pattern groups. Total: entries whose
-    /// output channel is out of range are dropped (corruption-fixture
-    /// layers), and offsets wider than `u8` are saturated — execution
-    /// clips every tap anyway, and `validate()`/RV010 reject such
-    /// layers before they are ever run.
-    pub fn build(out_ch: usize, groups: &[PatternGroup]) -> Self {
+/// Offsets wider than `u8` are saturated: execution clips every tap
+/// anyway, and `validate()` (RV010/RV013) rejects such layers before
+/// they are ever run.
+fn tap(ky: usize, kx: usize) -> (u8, u8) {
+    (ky.min(255) as u8, kx.min(255) as u8)
+}
+
+/// `Some(t)` iff there is at least one entry and all have `t` taps.
+fn uniform_of(entries: &[Entry]) -> Option<u32> {
+    let t = entries.first()?.taps;
+    entries.iter().all(|e| e.taps == t).then_some(t)
+}
+
+impl Pack {
+    /// The pattern view: builds the pack from pattern groups, storing
+    /// each group's offsets once. Total: kernels whose output channel
+    /// is out of range are dropped (corruption-fixture layers).
+    pub fn from_groups(
+        out_ch: usize,
+        in_ch: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        groups: &[PatternGroup],
+    ) -> Self {
         // Pass 1: store each group's offsets once and stage every
         // kernel under its output channel.
         // (ic, taps, offset-table start, borrowed kernel values)
@@ -76,11 +108,7 @@ impl PatternPack {
         let mut staged: Vec<Vec<Staged>> = vec![Vec::new(); out_ch];
         for g in groups {
             let off = offsets.len() as u32;
-            offsets.extend(
-                g.offsets
-                    .iter()
-                    .map(|&(ky, kx)| (ky.min(255) as u8, kx.min(255) as u8)),
-            );
+            offsets.extend(g.offsets.iter().map(|&(ky, kx)| tap(ky, kx)));
             for (oc, ic, values) in &g.kernels {
                 if *oc >= out_ch {
                     continue;
@@ -100,26 +128,82 @@ impl PatternPack {
             for &(ic, taps, off, vals) in ocs.iter() {
                 let val = values.len() as u32;
                 values.extend_from_slice(&vals[..taps as usize]);
-                entries.push(PackEntry { ic, taps, off, val });
+                entries.push(Entry { ic, taps, off, val });
             }
             oc_ranges.push((start, entries.len() as u32));
         }
-        let uniform = entries
-            .first()
-            .map(|e| e.taps)
-            .filter(|&t| entries.iter().all(|e| e.taps == t));
-        PatternPack {
+        Pack {
+            out_ch,
+            in_ch,
+            kernel,
+            stride,
+            pad,
+            uniform: uniform_of(&entries),
             oc_ranges,
             entries,
             offsets,
             values,
-            uniform,
         }
     }
 
-    /// `Some(arity)` iff every packed kernel stores exactly `arity`
-    /// taps (uniform entry count, the RV001 invariant); `None` for an
-    /// empty or mixed-arity pack.
+    /// The COO view: builds the pack from `(oc, ic, ky, kx, value)`
+    /// entries in their stored order (the RV013 invariant makes that
+    /// the canonical order for valid layers), merging consecutive
+    /// entries of one `(oc, ic)` pair into a run that owns its offsets.
+    /// Total: out-of-range output channels are dropped.
+    pub fn from_coo(
+        out_ch: usize,
+        in_ch: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        coo: &[(usize, usize, usize, usize, f32)],
+    ) -> Self {
+        let mut per_oc: Vec<Vec<(usize, usize, usize, f32)>> = vec![Vec::new(); out_ch];
+        for &(oc, ic, ky, kx, v) in coo {
+            if oc < out_ch {
+                per_oc[oc].push((ic, ky, kx, v));
+            }
+        }
+        let mut oc_ranges = Vec::with_capacity(out_ch);
+        let mut entries: Vec<Entry> = Vec::new();
+        let mut offsets = Vec::new();
+        let mut values = Vec::new();
+        for ocs in &per_oc {
+            let start = entries.len();
+            for &(ic, ky, kx, v) in ocs {
+                match entries[start..].last_mut() {
+                    Some(run) if run.ic as usize == ic => run.taps += 1,
+                    _ => entries.push(Entry {
+                        ic: ic as u32,
+                        taps: 1,
+                        off: offsets.len() as u32,
+                        val: values.len() as u32,
+                    }),
+                }
+                offsets.push(tap(ky, kx));
+                values.push(v);
+            }
+            oc_ranges.push((start as u32, entries.len() as u32));
+        }
+        Pack {
+            out_ch,
+            in_ch,
+            kernel,
+            stride,
+            pad,
+            uniform: uniform_of(&entries),
+            oc_ranges,
+            entries,
+            offsets,
+            values,
+        }
+    }
+
+    /// `Some(arity)` iff every entry stores exactly `arity` taps (the
+    /// RV001 uniform entry count); `None` for an empty or mixed-arity
+    /// pack. Lets the driver hoist the arity dispatch out of the tile
+    /// walk.
     #[inline]
     pub fn uniform_arity(&self) -> Option<usize> {
         self.uniform.map(|t| t as usize)
@@ -140,7 +224,7 @@ impl PatternPack {
         })
     }
 
-    /// Total packed kernel count.
+    /// Total packed `(oc, ic)` kernel count.
     pub fn kernel_count(&self) -> usize {
         self.entries.len()
     }
@@ -154,10 +238,11 @@ impl PatternPack {
     /// RV090 bit-compares this against the owning layer's
     /// `to_dense()`. Out-of-bounds coordinates are skipped (total on
     /// corrupt layers).
-    pub fn to_dense(&self, out_ch: usize, in_ch: usize, kernel: usize) -> Tensor {
-        let mut w = Tensor::zeros(&[out_ch, in_ch, kernel, kernel]);
+    pub fn to_dense(&self) -> Tensor {
+        let (in_ch, kernel) = (self.in_ch, self.kernel);
+        let mut w = Tensor::zeros(&[self.out_ch, in_ch, kernel, kernel]);
         let wd = w.as_mut_slice();
-        for oc in 0..out_ch {
+        for oc in 0..self.out_ch {
             for (ic, taps, vals) in self.oc_kernels(oc) {
                 if ic >= in_ch {
                     continue;
@@ -174,138 +259,19 @@ impl PatternPack {
     }
 
     /// Mutable access to the packed values. Corruption-fixture hook:
-    /// lets `rtoss-verify` seed a pack/dense divergence that RV090 and
-    /// RV092 must catch. Never use outside tests/fixtures.
+    /// lets `rtoss-verify` seed a pack/dense divergence on a *copy* of
+    /// a layer's pack that RV090 and RV092 must catch. Never use
+    /// outside tests/fixtures.
     #[doc(hidden)]
     pub fn values_mut(&mut self) -> &mut [f32] {
         &mut self.values
     }
 }
 
-/// One COO-pack run: consecutive entries of a single `(oc, ic)` pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CooRun {
-    /// Input channel the run reads.
-    pub ic: u32,
-    /// Start of the run's taps in the pack's tap/value arrays.
-    pub start: u32,
-    /// One past the run's last tap.
-    pub end: u32,
-}
-
-/// Flat layout of an unstructured (COO) layer: per output channel a
-/// range of `(oc, ic)` runs, each an arbitrary-arity tap list.
-///
-/// Unlike [`PatternPack`] the run arity is data-dependent, so the
-/// executor dispatches through the arity-generic microkernel — that
-/// (plus no shared offset slices) is the irregularity penalty the
-/// paper attributes to unstructured sparsity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CooPack {
-    oc_ranges: Vec<(u32, u32)>,
-    runs: Vec<CooRun>,
-    taps: Vec<(u8, u8)>,
-    vals: Vec<f32>,
-}
-
-impl CooPack {
-    /// Builds the pack from COO entries in their stored order (the
-    /// RV013 invariant makes that the canonical `(oc, ic, ky, kx)`
-    /// order for valid layers). Total: out-of-range output channels
-    /// are dropped.
-    pub fn build(out_ch: usize, entries: &[(usize, usize, usize, usize, f32)]) -> Self {
-        let mut per_oc: Vec<Vec<(usize, usize, usize, f32)>> = vec![Vec::new(); out_ch];
-        for &(oc, ic, ky, kx, v) in entries {
-            if oc < out_ch {
-                per_oc[oc].push((ic, ky, kx, v));
-            }
-        }
-        let mut oc_ranges = Vec::with_capacity(out_ch);
-        let mut runs: Vec<CooRun> = Vec::new();
-        let mut taps = Vec::new();
-        let mut vals = Vec::new();
-        for ocs in &per_oc {
-            let start = runs.len() as u32;
-            for &(ic, ky, kx, v) in ocs {
-                let tap = (ky.min(255) as u8, kx.min(255) as u8);
-                let extend = runs.len() as u32 > start
-                    && runs
-                        .last()
-                        .is_some_and(|r| r.ic as usize == ic && r.end as usize == taps.len());
-                if extend {
-                    if let Some(run) = runs.last_mut() {
-                        run.end += 1;
-                    }
-                } else {
-                    runs.push(CooRun {
-                        ic: ic as u32,
-                        start: taps.len() as u32,
-                        end: taps.len() as u32 + 1,
-                    });
-                }
-                taps.push(tap);
-                vals.push(v);
-            }
-            oc_ranges.push((start, runs.len() as u32));
-        }
-        CooPack {
-            oc_ranges,
-            runs,
-            taps,
-            vals,
-        }
-    }
-
-    /// Iterates one output channel's runs as `(ic, taps, vals)`.
-    #[inline]
-    pub fn oc_runs(&self, oc: usize) -> impl Iterator<Item = (usize, &[(u8, u8)], &[f32])> + '_ {
-        let (start, end) = self.oc_ranges.get(oc).copied().unwrap_or((0, 0));
-        self.runs[start as usize..end as usize].iter().map(|r| {
-            (
-                r.ic as usize,
-                &self.taps[r.start as usize..r.end as usize],
-                &self.vals[r.start as usize..r.end as usize],
-            )
-        })
-    }
-
-    /// Total packed tap count.
-    pub fn tap_count(&self) -> usize {
-        self.taps.len()
-    }
-
-    /// Reconstructs the dense weight tensor from the pack alone (the
-    /// COO side of RV090). Out-of-bounds coordinates are skipped.
-    pub fn to_dense(&self, out_ch: usize, in_ch: usize, kernel: usize) -> Tensor {
-        let mut w = Tensor::zeros(&[out_ch, in_ch, kernel, kernel]);
-        let wd = w.as_mut_slice();
-        for oc in 0..out_ch {
-            for (ic, taps, vals) in self.oc_runs(oc) {
-                if ic >= in_ch {
-                    continue;
-                }
-                for (&(ky, kx), &v) in taps.iter().zip(vals) {
-                    let (ky, kx) = (ky as usize, kx as usize);
-                    if ky < kernel && kx < kernel {
-                        wd[((oc * in_ch + ic) * kernel + ky) * kernel + kx] = v;
-                    }
-                }
-            }
-        }
-        w
-    }
-
-    /// Mutable access to the packed values — the COO twin of
-    /// [`PatternPack::values_mut`]. Never use outside tests/fixtures.
-    #[doc(hidden)]
-    pub fn values_mut(&mut self) -> &mut [f32] {
-        &mut self.vals
-    }
-}
-
 /// Derives the COO form of a pattern-compressed layer in canonical
-/// `(oc, ic, ky, kx)` order — the autotuner's COO candidate.
-pub fn coo_from_pattern(layer: &crate::format::PatternCompressedConv) -> UnstructuredSparseConv {
+/// `(oc, ic, ky, kx)` order — the unstructured baseline on identical
+/// weights.
+pub fn coo_from_pattern(layer: &PatternCompressedConv) -> UnstructuredSparseConv {
     let mut entries = Vec::with_capacity(layer.stored_weights());
     for g in layer.groups() {
         for (oc, ic, values) in &g.kernels {
@@ -330,7 +296,6 @@ pub fn coo_from_pattern(layer: &crate::format::PatternCompressedConv) -> Unstruc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::PatternCompressedConv;
     use rtoss_core::pattern::canonical_set;
     use rtoss_core::prune3x3::prune_3x3_weights;
     use rtoss_tensor::init;
@@ -343,17 +308,25 @@ mod tests {
     }
 
     #[test]
-    fn pattern_pack_reconstructs_dense_bitwise() {
+    fn pattern_view_reconstructs_dense_bitwise_with_uniform_arity() {
         for k_entries in [2usize, 3, 4] {
             let w = pruned(k_entries, 40 + k_entries as u64);
             let pc = PatternCompressedConv::from_dense(&w, 1, 1).unwrap();
-            let rebuilt = pc.pack().to_dense(8, 4, 3);
-            assert_eq!(rebuilt.as_slice(), w.as_slice(), "{k_entries}EP");
+            assert_eq!(
+                pc.pack().to_dense().as_slice(),
+                w.as_slice(),
+                "{k_entries}EP"
+            );
+            assert_eq!(pc.pack().uniform_arity(), Some(k_entries));
         }
+        // An unpruned 3x3 layer is the uniform-9 pack.
+        let w = init::uniform(&mut init::rng(44), &[3, 2, 3, 3], 0.1, 1.0);
+        let pc = PatternCompressedConv::from_dense(&w, 1, 1).unwrap();
+        assert_eq!(pc.pack().uniform_arity(), Some(9));
     }
 
     #[test]
-    fn pattern_pack_is_ic_sorted_per_oc() {
+    fn pattern_view_is_ic_sorted_per_oc() {
         let w = pruned(3, 47);
         let pc = PatternCompressedConv::from_dense(&w, 1, 1).unwrap();
         for oc in 0..8 {
@@ -365,14 +338,14 @@ mod tests {
     }
 
     #[test]
-    fn coo_pack_reconstructs_dense_bitwise_and_runs_are_grouped() {
+    fn coo_view_reconstructs_dense_bitwise_and_runs_are_grouped() {
         let w = pruned(2, 48);
-        let un = crate::format::UnstructuredSparseConv::from_dense(&w, 1, 1).unwrap();
-        let pack = CooPack::build(8, un.entries());
-        assert_eq!(pack.to_dense(8, 4, 3).as_slice(), w.as_slice());
-        assert_eq!(pack.tap_count(), un.entries().len());
+        let un = UnstructuredSparseConv::from_dense(&w, 1, 1).unwrap();
+        let pack = un.pack();
+        assert_eq!(pack.to_dense().as_slice(), w.as_slice());
+        assert_eq!(pack.value_count(), un.entries().len());
         for oc in 0..8 {
-            let ics: Vec<usize> = pack.oc_runs(oc).map(|(ic, _, _)| ic).collect();
+            let ics: Vec<usize> = pack.oc_kernels(oc).map(|(ic, _, _)| ic).collect();
             // Valid layers are (oc, ic, …)-sorted, so runs merge: each
             // ic appears in at most one run per oc.
             let mut dedup = ics.clone();
@@ -382,17 +355,32 @@ mod tests {
     }
 
     #[test]
+    fn coo_runs_do_not_merge_across_output_channels() {
+        // oc 0 ends on ic 1 and oc 1 starts on ic 1: two runs, and the
+        // differing run lengths make the pack mixed-arity.
+        let coo = [(0, 1, 0, 0, 1.0), (1, 1, 0, 1, 2.0), (1, 1, 2, 2, 3.0)];
+        let pack = Pack::from_coo(2, 2, 3, 1, 1, &coo);
+        assert_eq!(pack.kernel_count(), 2);
+        assert_eq!(pack.uniform_arity(), None);
+        let run: Vec<_> = pack.oc_kernels(1).collect();
+        assert_eq!(
+            run,
+            vec![(1, &[(0u8, 1u8), (2, 2)][..], &[2.0f32, 3.0][..])]
+        );
+    }
+
+    #[test]
     fn builders_total_on_corrupt_coordinates() {
         let groups = vec![PatternGroup {
             offsets: vec![(9, 0), (300, 300)],
             kernels: vec![(99, 7, vec![1.0, 2.0]), (0, 99, vec![3.0, 4.0])],
         }];
-        let pack = PatternPack::build(2, &groups);
+        let pack = Pack::from_groups(2, 1, 3, 1, 1, &groups);
         assert_eq!(pack.kernel_count(), 1); // oc 99 dropped
-        let _ = pack.to_dense(2, 1, 3); // out-of-range ic/taps skipped
-        let coo = CooPack::build(2, &[(5, 0, 0, 0, 1.0), (0, 9, 400, 0, 2.0)]);
-        assert_eq!(coo.tap_count(), 1);
-        let _ = coo.to_dense(2, 1, 3);
+        let _ = pack.to_dense(); // out-of-range ic/taps skipped
+        let coo = Pack::from_coo(2, 1, 3, 1, 1, &[(5, 0, 0, 0, 1.0), (0, 9, 400, 0, 2.0)]);
+        assert_eq!(coo.value_count(), 1);
+        let _ = coo.to_dense();
     }
 
     #[test]

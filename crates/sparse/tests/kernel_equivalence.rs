@@ -3,24 +3,23 @@
 //! Two contracts, randomized over shapes, strides, paddings, entry
 //! patterns, bias/epilogue mixes, and thread widths:
 //!
-//! 1. **Pack round-trip** — both kernel-major packs (pattern and COO)
-//!    reconstruct the pruned dense weights *bitwise* through
-//!    `to_dense()`: the pack layout loses nothing and invents nothing.
-//!    (RV090 re-checks this statically per compiled layer.)
-//! 2. **Kernel equivalence** — every tiled executor variant (pattern
-//!    microkernel, COO, dense) produces bitwise the output of the
-//!    scalar reference executor at every thread width. This is the
-//!    randomized face of RV092: any divergence in canonical
+//! 1. **Pack round-trip** — both views of the kernel-major pack
+//!    (pattern and COO) reconstruct the pruned dense weights *bitwise*
+//!    through `to_dense()`: the pack layout loses nothing and invents
+//!    nothing. (RV090 re-checks this statically per compiled layer.)
+//! 2. **Kernel equivalence** — the tiled driver, fed either pack, with
+//!    and without bias and a fused epilogue, produces bitwise the
+//!    output of the scalar reference executor at every thread width.
+//!    This is the randomized face of RV092: any divergence in canonical
 //!    accumulation order, padded staging, or ragged-edge writeback
-//!    shows up as a bit flip, not a tolerance failure.
+//!    shows up as a bit flip, not a tolerance failure. (The root
+//!    `tests/proptests.rs` covers the arity-9, arity-1 and mixed-arity
+//!    packs.)
 
 use proptest::prelude::*;
 use rtoss_core::pattern::canonical_set;
 use rtoss_core::prune3x3::prune_3x3_weights;
-use rtoss_sparse::exec::{
-    conv2d_dense_into_with, conv2d_pattern_scalar_into_with, conv2d_pattern_sparse_into_with,
-    conv2d_unstructured_into_with,
-};
+use rtoss_sparse::exec::{conv2d_packed_into, conv2d_pattern_scalar_into_with};
 use rtoss_sparse::{PatternCompressedConv, UnstructuredSparseConv};
 use rtoss_tensor::exec::Epilogue;
 use rtoss_tensor::ops::out_extent;
@@ -46,20 +45,20 @@ proptest! {
         let w = pruned(o, i, k_entries, 0xF00D ^ seed);
         let pc = PatternCompressedConv::from_dense(&w, 1, 1).unwrap();
         prop_assert_eq!(
-            pc.pack().to_dense(o, i, 3).as_slice(),
+            pc.pack().to_dense().as_slice(),
             w.as_slice(),
             "pattern pack: o={} i={} {}EP", o, i, k_entries
         );
         let un = UnstructuredSparseConv::from_dense(&w, 1, 1).unwrap();
         prop_assert_eq!(
-            un.pack().to_dense(o, i, 3).as_slice(),
+            un.pack().to_dense().as_slice(),
             w.as_slice(),
             "coo pack: o={} i={} {}EP", o, i, k_entries
         );
     }
 
     #[test]
-    fn tiled_kernel_variants_bit_identical_to_scalar(
+    fn tiled_driver_bit_identical_to_scalar_on_both_packs(
         o in 1usize..8,
         i in 1usize..6,
         h in 3usize..20,
@@ -101,23 +100,14 @@ proptest! {
         ).unwrap();
         for threads in 1usize..=4 {
             let cfg = ExecConfig::with_threads(threads);
-            // NAN-dirty buffers prove every element is overwritten.
-            let mut got = vec![f32::NAN; n_out];
-            conv2d_pattern_sparse_into_with(
-                x.as_slice(), x.shape(), &pc, bias.as_deref(), &epi, &mut got, &cfg,
-            ).unwrap();
-            prop_assert_eq!(&got, &want, "pattern vs scalar, {} t={}", label, threads);
-            let mut got = vec![f32::NAN; n_out];
-            conv2d_unstructured_into_with(
-                x.as_slice(), x.shape(), &un, bias.as_deref(), &epi, &mut got, &cfg,
-            ).unwrap();
-            prop_assert_eq!(&got, &want, "coo vs scalar, {} t={}", label, threads);
-            let mut got = vec![f32::NAN; n_out];
-            conv2d_dense_into_with(
-                x.as_slice(), x.shape(), &w, stride, pad, bias.as_deref(), &epi, &mut got,
-                &cfg,
-            ).unwrap();
-            prop_assert_eq!(&got, &want, "dense vs scalar, {} t={}", label, threads);
+            for (name, pack) in [("pattern", pc.pack()), ("coo", un.pack())] {
+                // NAN-dirty buffers prove every element is overwritten.
+                let mut got = vec![f32::NAN; n_out];
+                conv2d_packed_into(
+                    x.as_slice(), x.shape(), pack, bias.as_deref(), &epi, &mut got, &cfg,
+                ).unwrap();
+                prop_assert_eq!(&got, &want, "{} vs scalar, {} t={}", name, label, threads);
+            }
         }
     }
 }

@@ -33,15 +33,15 @@
 //!   can never produce (IEEE-754 round-to-nearest only yields `-0.0`
 //!   from `(-0.0) + (-0.0)`, and the chain starts at the bias). So the
 //!   padded chain is bit-identical to the clip-and-skip scalar
-//!   reference — the same argument the canonical-order dense executor
-//!   already relies on for its stored zero taps. RV052/RV092 and the
-//!   kernel proptests pin this.
+//!   reference — the same argument that covers explicitly stored zero
+//!   taps. RV052/RV092 and the kernel proptests pin this.
 //! - **Monomorphization.** [`accum_taps`] takes the tap arity as a
 //!   const generic, so the 2/3/4-entry-pattern bodies (and the dense
 //!   9-tap body) compile to fully unrolled straight-line code, the
 //!   same match-dispatch-into-inlined-code trick that made the PR 5
-//!   `EpilogueAct` epilogue beat fn-pointer dispatch. An arity-generic
-//!   [`accum_taps_dyn`] fallback covers irregular COO rows.
+//!   `EpilogueAct` epilogue beat fn-pointer dispatch. [`accum_kernel`]
+//!   dispatches one kernel on its tap count, with an arity-generic
+//!   loop for the counts that have no unrolled body.
 //!
 //! Index math over tile coordinates is strength-reduced with
 //! [`FastDivmod`] (multiply-shift, no hardware divide) in the style of
@@ -226,7 +226,9 @@ impl Tile {
                 // early return) keeps the failure edge from extending
                 // the accumulator's live range into a cold path.
                 if let Some(xs) = xp.get(off..off + NR) {
-                    let xs: &[f32; NR] = xs.try_into().unwrap();
+                    // Infallible after the `get` above; the recovery form
+                    // only keeps a panic edge out of the hot loop (RV030).
+                    let xs: &[f32; NR] = xs.try_into().unwrap_or(&[0.0; NR]);
                     unroll_nr!(j {
                         acc[r][j] += val * xs[j];
                     });
@@ -265,11 +267,11 @@ pub fn accum_taps<const T: usize>(
     }
 }
 
-/// Arity-generic fallback for irregular tap counts (COO rows, odd
-/// kernel sizes). Same accumulation chain as [`accum_taps`], just
+/// Arity-generic fallback for irregular tap counts (ragged COO runs,
+/// odd kernel sizes). Same accumulation chain as [`accum_taps`], just
 /// without the unroll.
 #[inline(always)]
-pub fn accum_taps_dyn(acc: &mut AccTile, xp: &[f32], tile: &Tile, taps: &[(u8, u8)], vals: &[f32]) {
+fn accum_taps_dyn(acc: &mut AccTile, xp: &[f32], tile: &Tile, taps: &[(u8, u8)], vals: &[f32]) {
     for (t, &(ky, kx)) in taps.iter().enumerate() {
         tile.accum_tap(acc, xp, ky as usize, kx as usize, vals[t]);
     }

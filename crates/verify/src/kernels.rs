@@ -1,48 +1,39 @@
-//! Microkernel/format checks: pack reconstruction, autotune choice
-//! legality, and cross-format bit-identity (RV090/RV091/RV092).
+//! Pack checks: reconstruction and pack-vs-oracle bit-identity
+//! (RV090/RV092).
 //!
-//! PR 10 made the conv format a *plan-time decision*: every
-//! `PatternCompressedConv` carries a kernel-major [`PatternPack`] (and
-//! can derive a COO twin and a dense tensor), and the plan compiler
-//! picks one executor per layer. Three new things can now silently go
-//! wrong:
+//! Every conv runs through one tiled driver over one
+//! [`rtoss_sparse::Pack`]; `PatternCompressedConv` and
+//! `UnstructuredSparseConv` are storage formats that each build one.
+//! Two things can silently go wrong in that derived layout:
 //!
-//! - **RV090 — pack reconstruction.** The packed layouts are *derived*
-//!   data built at load time. If packing drops, duplicates, or
-//!   reorders a tap, every downstream executor computes a wrong
-//!   convolution while the group-level structures still validate.
-//!   [`check_pattern_pack`] / [`check_coo_pack`] reconstruct a dense
-//!   weight tensor from the pack alone and require it bitwise equal to
-//!   the layer's own `to_dense()`.
-//! - **RV091 — autotune choice legality.** A plan summary must label
-//!   every conv step with a real format (`pattern`/`coo`/`dense`),
-//!   every non-conv step with `-`, and when timed-autotune evidence is
-//!   present the chosen format must be the measured minimum (ties
-//!   break toward the earlier candidate, matching the chooser). A
-//!   violation means the plan is not executing the kernel it claims —
-//!   or the tuner is ignoring its own measurements.
-//! - **RV092 — cross-format bit-identity.** All four executors share
-//!   one canonical accumulation order (bias first, then taps in
-//!   ascending `(ic, ky, kx)`), so forcing any format through
-//!   [`ExecutionPlan::compile_with`] must reproduce the interpreter
-//!   **bit-for-bit** at every thread count. Closeness is not the
-//!   contract: serving-layer dedup compares outputs exactly.
+//! - **RV090 — pack reconstruction.** The pack is *derived* data built
+//!   at load time. If packing drops, duplicates, or reorders a tap, the
+//!   driver computes a wrong convolution while the group-level
+//!   structures still validate. [`check_pack`] reconstructs a dense
+//!   weight tensor from the pack alone and requires it bitwise equal
+//!   to the owning layer's `to_dense()`.
+//! - **RV092 — pack-vs-oracle bit-identity.** The driver and the scalar
+//!   reference share one canonical accumulation order (bias first, then
+//!   taps in ascending `(ic, ky, kx)`), so a layer's pattern pack and
+//!   its COO pack through the driver must each reproduce the scalar
+//!   reference **bit-for-bit**. Closeness is not the contract:
+//!   serving-layer dedup compares outputs exactly. (Plan ≡ interpreter
+//!   at every width is RV05x.)
 //!
-//! The `kernel-pack` / `kernel-choice` / `kernel-equiv` fixtures prove
-//! each check can fire.
-//!
-//! [`ExecutionPlan::compile_with`]: rtoss_sparse::ExecutionPlan::compile_with
+//! The `kernel-pack` / `kernel-equiv` fixtures prove each check can
+//! fire.
 
 use crate::diag::{Diagnostic, Report};
-use rtoss_sparse::{
-    AutotuneMode, ExecConfig, ExecutionPlan, FormatChoice, PatternCompressedConv, PlanOptions,
-    PlanSummary, SparseModel, UnstructuredSparseConv,
-};
+use rtoss_sparse::exec::{conv2d_packed_into, conv2d_pattern_scalar_into_with};
+use rtoss_sparse::{coo_from_pattern, ExecConfig, Pack, PatternCompressedConv, SparseModel};
+use rtoss_tensor::exec::Epilogue;
 use rtoss_tensor::Tensor;
 
-/// Compares a reconstructed dense weight against the layer's own dense
-/// view, bitwise (RV090 body shared by both pack flavors).
-fn diff_dense(location: &str, kind: &str, packed: &Tensor, direct: &Tensor) -> Vec<Diagnostic> {
+/// Checks pack reconstruction (RV090): `pack` (the `kind` view of some
+/// layer) must rebuild exactly `direct`, the dense weight tensor the
+/// layer's own storage describes.
+pub fn check_pack(location: &str, kind: &str, pack: &Pack, direct: &Tensor) -> Vec<Diagnostic> {
+    let packed = pack.to_dense();
     let mut out = Vec::new();
     if packed.shape() != direct.shape() {
         out.push(Diagnostic::error(
@@ -75,7 +66,7 @@ fn diff_dense(location: &str, kind: &str, packed: &Tensor, direct: &Tensor) -> V
             format!(
                 "{kind} pack does not reconstruct the layer's weights: {diffs} of {} \
                  elements differ (first at flat index {first}) — the pack is derived \
-                 data, so every executor reading it computes a wrong convolution",
+                 data, so the driver reading it computes a wrong convolution",
                 direct.as_slice().len()
             ),
         ));
@@ -83,197 +74,23 @@ fn diff_dense(location: &str, kind: &str, packed: &Tensor, direct: &Tensor) -> V
     out
 }
 
-/// Checks pack reconstruction (RV090) for a pattern-compressed layer:
-/// the kernel-major [`rtoss_sparse::PatternPack`] must rebuild exactly
-/// the dense weight tensor the group structure describes.
-pub fn check_pattern_pack(location: &str, layer: &PatternCompressedConv) -> Vec<Diagnostic> {
-    let packed = layer.pack().to_dense(
-        layer.out_channels(),
-        layer.in_channels(),
-        layer.kernel_size(),
-    );
-    diff_dense(location, "pattern", &packed, &layer.to_dense())
-}
-
-/// Checks pack reconstruction (RV090) for a COO layer: the run-merged
-/// [`rtoss_sparse::CooPack`] must rebuild exactly the dense weight
-/// tensor the entry list describes.
-pub fn check_coo_pack(location: &str, layer: &UnstructuredSparseConv) -> Vec<Diagnostic> {
-    let packed = layer.pack().to_dense(
-        layer.out_channels(),
-        layer.in_channels(),
-        layer.kernel_size(),
-    );
-    diff_dense(location, "coo", &packed, &layer.to_dense())
-}
-
-/// Runs RV090 over every conv layer of an engine, both pack flavors
-/// (the COO pack is checked on the derived COO twin of each layer).
-pub fn check_model_packs(model: &SparseModel) -> Report {
-    let mut report = Report::new();
-    for (node, layer) in model.conv_layers() {
-        let loc = format!("node {node}");
-        report.extend(check_pattern_pack(&loc, layer));
-        report.extend(check_coo_pack(&loc, &rtoss_sparse::coo_from_pattern(layer)));
-    }
-    report
-}
-
-/// Checks autotune choice legality (RV091) of a plan summary: format
-/// labels are well-formed per step kind, and any timed evidence is
-/// complete and consistent with the chosen format.
-pub fn check_format_choices(location: &str, s: &PlanSummary) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (i, step) in s.steps.iter().enumerate() {
-        if step.kind == "conv" {
-            if !matches!(step.format, "pattern" | "coo" | "dense") {
-                out.push(Diagnostic::error(
-                    "RV091",
-                    location,
-                    format!(
-                        "step {i} ({}) is a conv but reports format {:?}: the plan is not \
-                         executing a known kernel",
-                        step.name, step.format
-                    ),
-                ));
-                continue;
-            }
-        } else {
-            if step.format != "-" {
-                out.push(Diagnostic::error(
-                    "RV091",
-                    location,
-                    format!(
-                        "step {i} ({}, kind {}) reports conv format {:?} but has no conv \
-                         kernel",
-                        step.name, step.kind, step.format
-                    ),
-                ));
-            }
-            if !step.autotune_ns.is_empty() {
-                out.push(Diagnostic::error(
-                    "RV091",
-                    location,
-                    format!(
-                        "step {i} ({}, kind {}) carries autotune evidence but is not a conv",
-                        step.name, step.kind
-                    ),
-                ));
-            }
-            continue;
-        }
-        if step.autotune_ns.is_empty() {
-            continue;
-        }
-        let labels: Vec<&str> = step.autotune_ns.iter().map(|(l, _)| *l).collect();
-        if labels != ["pattern", "coo", "dense"] {
-            out.push(Diagnostic::error(
-                "RV091",
-                location,
-                format!(
-                    "step {i} ({}) autotune evidence covers {labels:?}, expected every \
-                     candidate once in order [\"pattern\", \"coo\", \"dense\"]",
-                    step.name
-                ),
-            ));
-            continue;
-        }
-        // First-of-min tie-break, matching the chooser exactly.
-        let winner = step
-            .autotune_ns
-            .iter()
-            .min_by_key(|(_, ns)| *ns)
-            .map(|(l, _)| *l)
-            .unwrap_or("pattern");
-        if step.format != winner {
-            out.push(Diagnostic::error(
-                "RV091",
-                location,
-                format!(
-                    "step {i} ({}) chose format {:?} but its own measurements say {winner:?} \
-                     is fastest ({:?}): the tuner is ignoring its evidence",
-                    step.name, step.format, step.autotune_ns
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// Compares two output sets bitwise under the RV092 code.
-fn outputs_identical_rv092(
-    location: &str,
-    got: &[Tensor],
-    want: &[Tensor],
-    what: &str,
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if got.len() != want.len() {
-        out.push(Diagnostic::error(
-            "RV092",
-            location,
-            format!(
-                "{what} returned {} outputs, reference returned {}",
-                got.len(),
-                want.len()
-            ),
-        ));
-        return out;
-    }
-    for (k, (g, w)) in got.iter().zip(want).enumerate() {
-        if g.shape() != w.shape() {
-            out.push(Diagnostic::error(
-                "RV092",
-                location,
-                format!(
-                    "output {k}: {what} shape {:?} != reference shape {:?}",
-                    g.shape(),
-                    w.shape()
-                ),
-            ));
-            continue;
-        }
-        let diffs = g
-            .as_slice()
-            .iter()
-            .zip(w.as_slice())
-            .filter(|(a, b)| a.to_bits() != b.to_bits())
-            .count();
-        if diffs > 0 {
-            out.push(Diagnostic::error(
-                "RV092",
-                location,
-                format!(
-                    "output {k}: {what} differs from the reference in {diffs} of {} \
-                     elements — every format shares one canonical accumulation order, \
-                     so cross-format drift means a kernel is accumulating out of order",
-                    w.as_slice().len()
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// Checks cross-format bit-identity at the single-layer level (RV092):
-/// runs the pattern-tiled, COO, and dense executors on a deterministic
-/// probe of `x_shape` and requires each bitwise equal to the scalar
-/// reference executor. This is the layer-granular form of
-/// [`check_format_equivalence`] — the fixtures corrupt one pack and
-/// expect exactly this check to notice.
-pub fn check_layer_format_equivalence(
+/// Checks pack-vs-oracle bit-identity (RV092): runs each of `packs`
+/// through the tiled driver on a deterministic probe of `x_shape` and
+/// requires it bitwise equal to the scalar reference executor on
+/// `layer`.
+pub fn check_packs_match_scalar(
     location: &str,
     layer: &PatternCompressedConv,
+    packs: &[(&str, &Pack)],
     x_shape: &[usize],
 ) -> Vec<Diagnostic> {
-    use rtoss_sparse::exec::{
-        conv2d_dense_into_with, conv2d_pattern_scalar_into_with, conv2d_pattern_sparse_into_with,
-        conv2d_unstructured_into_with, conv_output_shape,
-    };
-    use rtoss_tensor::exec::Epilogue;
-
     let mut out = Vec::new();
-    let out_shape = match conv_output_shape(
+    let x: Vec<f32> = (0..x_shape.iter().product::<usize>())
+        .map(|i| ((i % 23) as f32) * 0.125 - 1.375)
+        .collect();
+    let bias = vec![0.25f32; layer.out_channels()];
+    let exec = ExecConfig::serial();
+    let out_len = match rtoss_sparse::exec::conv_output_shape(
         x_shape,
         layer.in_channels(),
         layer.out_channels(),
@@ -282,7 +99,7 @@ pub fn check_layer_format_equivalence(
         layer.padding(),
         "rv092",
     ) {
-        Ok(s) => s,
+        Ok(s) => s.iter().product::<usize>(),
         Err(e) => {
             out.push(Diagnostic::error(
                 "RV092",
@@ -292,12 +109,6 @@ pub fn check_layer_format_equivalence(
             return out;
         }
     };
-    let x: Vec<f32> = (0..x_shape.iter().product::<usize>())
-        .map(|i| ((i % 23) as f32) * 0.125 - 1.375)
-        .collect();
-    let bias = vec![0.25f32; layer.out_channels()];
-    let exec = ExecConfig::serial();
-    let out_len: usize = out_shape.iter().product();
     let mut reference = vec![0.0f32; out_len];
     if let Err(e) = conv2d_pattern_scalar_into_with(
         &x,
@@ -315,131 +126,62 @@ pub fn check_layer_format_equivalence(
         ));
         return out;
     }
-    let coo = rtoss_sparse::coo_from_pattern(layer);
-    let dense = layer.to_dense();
     let mut got = vec![0.0f32; out_len];
-    let check_run = |label: &str,
-                     r: Result<[usize; 4], rtoss_tensor::TensorError>,
-                     got: &[f32],
-                     out: &mut Vec<Diagnostic>| match r {
-        Ok(_) => {
-            let diffs = got
-                .iter()
-                .zip(&reference)
-                .filter(|(a, b)| a.to_bits() != b.to_bits())
-                .count();
-            if diffs > 0 {
-                out.push(Diagnostic::error(
-                    "RV092",
-                    location,
-                    format!(
-                        "{label} executor differs from the scalar reference in {diffs} of \
-                         {out_len} elements on input {x_shape:?} — all formats must share \
-                         the canonical accumulation order"
-                    ),
-                ));
+    for &(label, pack) in packs {
+        match conv2d_packed_into(
+            &x,
+            x_shape,
+            pack,
+            Some(&bias),
+            &Epilogue::NONE,
+            &mut got,
+            &exec,
+        ) {
+            Ok(_) => {
+                let diffs = got
+                    .iter()
+                    .zip(&reference)
+                    .filter(|(a, b)| a.to_bits() != b.to_bits())
+                    .count();
+                if diffs > 0 {
+                    out.push(Diagnostic::error(
+                        "RV092",
+                        location,
+                        format!(
+                            "{label} pack through the tiled driver differs from the scalar \
+                             reference in {diffs} of {out_len} elements on input {x_shape:?} \
+                             — both must follow the canonical accumulation order"
+                        ),
+                    ));
+                }
             }
+            Err(e) => out.push(Diagnostic::error(
+                "RV092",
+                location,
+                format!("{label} pack: tiled driver failed: {e}"),
+            )),
         }
-        Err(e) => out.push(Diagnostic::error(
-            "RV092",
-            location,
-            format!("{label} executor failed: {e}"),
-        )),
-    };
-    let r = conv2d_pattern_sparse_into_with(
-        &x,
-        x_shape,
-        layer,
-        Some(&bias),
-        &Epilogue::NONE,
-        &mut got,
-        &exec,
-    );
-    check_run("pattern-tiled", r, &got, &mut out);
-    let r = conv2d_unstructured_into_with(
-        &x,
-        x_shape,
-        &coo,
-        Some(&bias),
-        &Epilogue::NONE,
-        &mut got,
-        &exec,
-    );
-    check_run("coo", r, &got, &mut out);
-    let r = conv2d_dense_into_with(
-        &x,
-        x_shape,
-        &dense,
-        layer.stride(),
-        layer.padding(),
-        Some(&bias),
-        &Epilogue::NONE,
-        &mut got,
-        &exec,
-    );
-    check_run("dense", r, &got, &mut out);
+    }
     out
 }
 
-/// Checks cross-format bit-identity (RV092): compiles the engine once
-/// per forced format (`pattern`, `coo`, `dense`), runs each plan on
-/// `input` at every thread count in `threads`, and requires all of
-/// them to reproduce the serial interpreter bit-for-bit.
-pub fn check_format_equivalence(model: &SparseModel, input: &Tensor, threads: &[usize]) -> Report {
+/// Runs RV090 and RV092 over every conv layer of an engine, on both
+/// views: the layer's own pattern pack and the COO pack of its derived
+/// unstructured twin. The RV092 probe is a 10×10 plane (ragged in both
+/// tile axes) with the layer's input channels.
+pub fn check_model_kernels(model: &SparseModel) -> Report {
     let mut report = Report::new();
-    let shape = input.shape();
-    let reference = match model.forward_interpreted_with(input, &ExecConfig::serial()) {
-        Ok(r) => r,
-        Err(e) => {
-            report.push(Diagnostic::error(
-                "RV092",
-                format!("formats{shape:?}"),
-                format!("interpreter forward failed: {e}"),
-            ));
-            return report;
-        }
-    };
-    for (choice, label) in [
-        (FormatChoice::Pattern, "pattern"),
-        (FormatChoice::Coo, "coo"),
-        (FormatChoice::Dense, "dense"),
-    ] {
-        let opts = PlanOptions {
-            format: choice,
-            autotune: AutotuneMode::Heuristic,
-        };
-        let plan = match ExecutionPlan::compile_with(model, shape, &opts) {
-            Ok(p) => p,
-            Err(e) => {
-                report.push(Diagnostic::error(
-                    "RV092",
-                    format!("formats{shape:?} {label}"),
-                    format!("plan compilation failed: {e}"),
-                ));
-                continue;
-            }
-        };
-        let summary = plan.summary_for(model);
-        report.extend(check_format_choices(
-            &format!("formats{shape:?} {label}"),
-            &summary,
+    for (node, layer) in model.conv_layers() {
+        let loc = format!("node {node}");
+        let coo = coo_from_pattern(layer);
+        report.extend(check_pack(&loc, "pattern", layer.pack(), &layer.to_dense()));
+        report.extend(check_pack(&loc, "coo", coo.pack(), &coo.to_dense()));
+        report.extend(check_packs_match_scalar(
+            &loc,
+            layer,
+            &[("pattern", layer.pack()), ("coo", coo.pack())],
+            &[1, layer.in_channels(), 10, 10],
         ));
-        for &t in threads {
-            let loc = format!("formats{shape:?} {label} threads={t}");
-            match plan.run(model, input, &ExecConfig::with_threads(t)) {
-                Ok(got) => report.extend(outputs_identical_rv092(
-                    &loc,
-                    &got,
-                    &reference,
-                    &format!("{label} plan"),
-                )),
-                Err(e) => report.push(Diagnostic::error(
-                    "RV092",
-                    loc,
-                    format!("{label} planned forward failed: {e}"),
-                )),
-            }
-        }
     }
     report
 }
@@ -448,7 +190,6 @@ pub fn check_format_equivalence(model: &SparseModel, input: &Tensor, threads: &[
 mod tests {
     use super::*;
     use rtoss_core::{EntryPattern, Pruner, RTossPruner};
-    use rtoss_tensor::init;
 
     fn engine() -> SparseModel {
         let mut m = rtoss_models::yolov5s_twin(4, 2, 0x90).expect("twin builds");
@@ -460,76 +201,23 @@ mod tests {
 
     #[test]
     fn clean_engine_passes_all_kernel_checks() {
-        let engine = engine();
-        assert!(!check_model_packs(&engine).has_errors());
-        let s = engine.plan_summary(&[1, 3, 32, 32]).expect("plans");
-        assert!(check_format_choices("clean", &s).is_empty());
-        let probe = init::uniform(&mut init::rng(0x91), &[1, 3, 32, 32], 0.0, 1.0);
-        let report = check_format_equivalence(&engine, &probe, &[1, 4]);
+        let report = check_model_kernels(&engine());
         assert!(!report.has_errors(), "{}", report.render());
     }
 
     #[test]
-    fn corrupted_pattern_pack_fires_rv090() {
+    fn corrupted_pack_fires_rv090_and_rv092_on_either_view() {
         let engine = engine();
         let (_, layer) = engine.conv_layers()[0];
-        let mut bad = layer.clone();
-        let vals = bad.pack_mut().values_mut();
-        vals[0] = f32::from_bits(vals[0].to_bits() ^ 1);
-        let diags = check_pattern_pack("corrupt", &bad);
-        assert!(diags.iter().any(|d| d.code == "RV090"), "{diags:?}");
-    }
-
-    #[test]
-    fn corrupted_coo_pack_fires_rv090() {
-        let engine = engine();
-        let (_, layer) = engine.conv_layers()[0];
-        let mut coo = rtoss_sparse::coo_from_pattern(layer);
-        let vals = coo.pack_mut().values_mut();
-        vals[0] += 1.0;
-        let diags = check_coo_pack("corrupt", &coo);
-        assert!(diags.iter().any(|d| d.code == "RV090"), "{diags:?}");
-    }
-
-    #[test]
-    fn evidence_ignoring_choice_fires_rv091() {
-        let engine = engine();
-        let mut s = engine.plan_summary(&[1, 3, 32, 32]).expect("plans");
-        let conv = s
-            .steps
-            .iter_mut()
-            .find(|st| st.kind == "conv")
-            .expect("twin has convs");
-        // Claim evidence that says dense is fastest while running coo.
-        conv.format = "coo";
-        conv.autotune_ns = vec![("pattern", 300), ("coo", 200), ("dense", 100)];
-        let diags = check_format_choices("corrupt", &s);
-        assert!(diags.iter().any(|d| d.code == "RV091"), "{diags:?}");
-    }
-
-    #[test]
-    fn non_conv_with_format_fires_rv091() {
-        let engine = engine();
-        let mut s = engine.plan_summary(&[1, 3, 32, 32]).expect("plans");
-        let other = s
-            .steps
-            .iter_mut()
-            .find(|st| st.kind != "conv")
-            .expect("twin has non-conv steps");
-        other.format = "dense";
-        let diags = check_format_choices("corrupt", &s);
-        assert!(diags.iter().any(|d| d.code == "RV091"), "{diags:?}");
-    }
-
-    #[test]
-    fn output_drift_fires_rv092() {
-        let want = vec![Tensor::full(&[1, 2, 2, 2], 1.0)];
-        let mut got = want.clone();
-        let mut data = got[0].as_slice().to_vec();
-        data[3] = f32::from_bits(data[3].to_bits() ^ 1);
-        got[0] = Tensor::from_vec(data, want[0].shape()).expect("same shape");
-        let diags = outputs_identical_rv092("corrupt", &got, &want, "test");
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "RV092");
+        let coo = coo_from_pattern(layer);
+        for (kind, pack) in [("pattern", layer.pack()), ("coo", coo.pack())] {
+            let mut bad = pack.clone();
+            bad.values_mut()[0] += 1.0;
+            let diags = check_pack("corrupt", kind, &bad, &layer.to_dense());
+            assert!(diags.iter().any(|d| d.code == "RV090"), "{kind}: {diags:?}");
+            let shape = [1, layer.in_channels(), 10, 10];
+            let diags = check_packs_match_scalar("corrupt", layer, &[(kind, &bad)], &shape);
+            assert!(diags.iter().any(|d| d.code == "RV092"), "{kind}: {diags:?}");
+        }
     }
 }

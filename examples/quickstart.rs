@@ -10,8 +10,8 @@
 
 use rtoss::core::{EntryPattern, Pruner, RTossPruner};
 use rtoss::models::yolov5s_twin;
-use rtoss::sparse::exec::conv2d_pattern_sparse;
-use rtoss::sparse::PatternCompressedConv;
+use rtoss::sparse::exec::conv2d_pattern_sparse_with;
+use rtoss::sparse::{ExecConfig, PatternCompressedConv};
 use rtoss::tensor::{init, ops, Tensor};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let x = init::uniform(&mut init::rng(7), &[1, pc.in_channels(), 16, 16], -1.0, 1.0);
     let dense = ops::conv2d(&x, &w, None, stride, pad)?;
-    let sparse = conv2d_pattern_sparse(&x, &pc, None)?;
+    let sparse = conv2d_pattern_sparse_with(&x, &pc, None, &ExecConfig::default())?;
     let max_err = dense
         .as_slice()
         .iter()

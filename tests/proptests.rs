@@ -7,10 +7,11 @@ use rtoss::core::prune1x1::prune_1x1_weights;
 use rtoss::core::prune3x3::prune_3x3_weights;
 use rtoss::data::{nms, BBox, Detection};
 use rtoss::sparse::exec::{
-    conv2d_pattern_sparse, conv2d_pattern_sparse_with, conv2d_unstructured,
+    conv2d_packed_into, conv2d_pattern_scalar_into_with, conv2d_pattern_sparse_with,
     conv2d_unstructured_with,
 };
 use rtoss::sparse::{ExecConfig, PatternCompressedConv, UnstructuredSparseConv};
+use rtoss::tensor::exec::Epilogue;
 use rtoss::tensor::{ops, Tensor};
 
 fn tensor_strategy(dims: Vec<usize>) -> impl Strategy<Value = Tensor> {
@@ -102,8 +103,8 @@ proptest! {
         let dense = ops::conv2d(&x, &w, None, stride, 1).expect("conv");
         let pc = PatternCompressedConv::from_dense(&w, stride, 1).expect("compress");
         let un = UnstructuredSparseConv::from_dense(&w, stride, 1).expect("compress");
-        let a = conv2d_pattern_sparse(&x, &pc, None).expect("sparse conv");
-        let b = conv2d_unstructured(&x, &un, None).expect("coo conv");
+        let a = conv2d_pattern_sparse_with(&x, &pc, None, &ExecConfig::default()).expect("sparse conv");
+        let b = conv2d_unstructured_with(&x, &un, None, &ExecConfig::default()).expect("coo conv");
         for ((&d, &pa), &ub) in dense.as_slice().iter()
             .zip(a.as_slice()).zip(b.as_slice()) {
             prop_assert!((d - pa).abs() < 1e-4, "pattern exec mismatch {} vs {}", d, pa);
@@ -218,21 +219,58 @@ proptest! {
         batch in 1usize..=3,
     ) {
         let mut rng = rtoss::tensor::init::rng(seed);
-        let mut w = rtoss::tensor::init::uniform(&mut rng, &[o, c, 3, 3], -1.0, 1.0);
+        let w3 = rtoss::tensor::init::uniform(&mut rng, &[o, c, 3, 3], -1.0, 1.0);
+        let w1 = rtoss::tensor::init::uniform(&mut rng, &[o, c, 1, 1], -1.0, 1.0);
         let x = rtoss::tensor::init::uniform(&mut rng, &[batch, c, h, wid], -1.0, 1.0);
+        let bias_t = rtoss::tensor::init::uniform(&mut rng, &[o], -1.0, 1.0);
+        let bias = bias_t.as_slice();
         let set = canonical_set(k).expect("valid k");
-        prune_3x3_weights(&mut w, &set).expect("prunes");
-        let dense = ops::conv2d(&x, &w, None, stride, pad).expect("conv");
-        let pc = PatternCompressedConv::from_dense(&w, stride, pad).expect("compress");
-        let un = UnstructuredSparseConv::from_dense(&w, stride, pad).expect("compress");
-        let a = conv2d_pattern_sparse(&x, &pc, None).expect("sparse conv");
-        let b = conv2d_unstructured(&x, &un, None).expect("coo conv");
-        prop_assert_eq!(a.shape(), dense.shape());
-        prop_assert_eq!(b.shape(), dense.shape());
-        for ((&d, &pa), &ub) in dense.as_slice().iter()
-            .zip(a.as_slice()).zip(b.as_slice()) {
-            prop_assert!((d - pa).abs() < 1e-4, "pattern exec mismatch {} vs {}", d, pa);
-            prop_assert!((d - ub).abs() < 1e-4, "coo exec mismatch {} vs {}", d, ub);
+        let mut pruned = w3.clone();
+        prune_3x3_weights(&mut pruned, &set).expect("prunes");
+        // One tap fewer in the first kernel only: a mixed-arity pack.
+        let mut ragged = pruned.clone();
+        if let Some(v) = ragged.as_mut_slice().iter_mut().find(|v| **v != 0.0) {
+            *v = 0.0;
+        }
+        // Every pack shape the one driver serves: the kEP pattern pack,
+        // the unpruned 3x3 layer (arity 9), a 1x1 layer (arity 1) and a
+        // pack with no uniform arity.
+        let single = o * c == 1;
+        for (what, w, arity) in [
+            ("kEP", &pruned, Some(k)),
+            ("unpruned 3x3", &w3, Some(9)),
+            ("1x1", &w1, Some(1)),
+            ("ragged", &ragged, single.then_some(k - 1)),
+        ] {
+            let dense = ops::conv2d(&x, w, Some(bias), stride, pad).expect("conv");
+            let pc = PatternCompressedConv::from_dense(w, stride, pad).expect("compress");
+            let un = UnstructuredSparseConv::from_dense(w, stride, pad).expect("compress");
+            prop_assert_eq!(pc.pack().uniform_arity(), arity, "{} pattern pack", what);
+            prop_assert_eq!(un.pack().uniform_arity(), arity, "{} coo pack", what);
+            let serial = ExecConfig::serial();
+            let a = conv2d_pattern_sparse_with(&x, &pc, Some(bias), &serial).expect("sparse conv");
+            let b = conv2d_unstructured_with(&x, &un, Some(bias), &serial).expect("coo conv");
+            prop_assert_eq!(a.shape(), dense.shape());
+            prop_assert_eq!(b.shape(), dense.shape());
+            for ((&d, &pa), &ub) in dense.as_slice().iter()
+                .zip(a.as_slice()).zip(b.as_slice()) {
+                prop_assert!((d - pa).abs() < 1e-4, "{} pattern mismatch {} vs {}", what, d, pa);
+                prop_assert!((d - ub).abs() < 1e-4, "{} coo mismatch {} vs {}", what, d, ub);
+            }
+            // The kernel contract: both packs through the tiled driver
+            // are *bitwise* the scalar reference (NaN-dirty buffers
+            // prove every element is overwritten).
+            let mut want = vec![f32::NAN; dense.numel()];
+            conv2d_pattern_scalar_into_with(
+                x.as_slice(), x.shape(), &pc, Some(bias), &Epilogue::NONE, &mut want, &serial,
+            ).expect("scalar reference");
+            for (name, pack) in [("pattern", pc.pack()), ("coo", un.pack())] {
+                let mut got = vec![f32::NAN; dense.numel()];
+                conv2d_packed_into(
+                    x.as_slice(), x.shape(), pack, Some(bias), &Epilogue::NONE, &mut got, &serial,
+                ).expect("tiled driver");
+                prop_assert_eq!(&got, &want, "{} {} pack vs scalar", what, name);
+            }
         }
     }
 
@@ -314,10 +352,10 @@ proptest! {
             .collect();
         let refs: Vec<&Tensor> = xs.iter().collect();
         let stacked = ops::batch_stack(&refs).expect("stacks");
-        let batched = conv2d_pattern_sparse(&stacked, &pc, None).expect("batched conv");
+        let batched = conv2d_pattern_sparse_with(&stacked, &pc, None, &ExecConfig::default()).expect("batched conv");
         let parts = ops::batch_split(&batched, &sizes).expect("splits");
         for (x, part) in xs.iter().zip(&parts) {
-            let single = conv2d_pattern_sparse(x, &pc, None).expect("single conv");
+            let single = conv2d_pattern_sparse_with(x, &pc, None, &ExecConfig::default()).expect("single conv");
             // Bit-identical — the serving layer's micro-batching
             // correctness rests on this, not on approximate equality.
             prop_assert_eq!(single.as_slice(), part.as_slice());
