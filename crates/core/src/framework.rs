@@ -188,18 +188,14 @@ impl RTossPruner {
         let param = conv.weight_mut();
         match kernel {
             3 => {
-                let mut w = param.value.clone();
-                let out = prune_3x3_weights(&mut w, patterns)?;
+                let out = prune_3x3_weights(&mut param.value, patterns)?;
                 let used = out.used_patterns();
-                param.value = w;
                 param.set_mask(out.mask)?;
                 Ok(Some(used))
             }
             1 if self.config.prune_1x1 => {
-                let mut w = param.value.clone();
-                let out = prune_1x1_weights(&mut w, patterns)?;
+                let out = prune_1x1_weights(&mut param.value, patterns)?;
                 let used = out.used_patterns();
-                param.value = w;
                 param.set_mask(out.mask)?;
                 // Layers too small to fill one 3×3 pool have no pattern
                 // choices to share.

@@ -102,27 +102,31 @@ impl Pattern {
 
     /// Whether the kept cells form a single 4-connected component
     /// (the paper's "adjacent non-zero weights" criterion).
+    ///
+    /// A bit flood-fill from the lowest kept cell: no allocation, at
+    /// most nine rounds.
     pub fn is_connected(self) -> bool {
-        let cells = self.cells();
-        let Some(&start) = cells.first() else {
+        // Cells that have a left (column > 0) / right (column < 2)
+        // neighbour inside the 3×3 grid.
+        const HAS_LEFT: u16 = 0b110_110_110;
+        const HAS_RIGHT: u16 = 0b011_011_011;
+        let kept = self.0 & 0x1ff;
+        if kept == 0 {
             return false;
-        };
-        let mut seen = vec![start];
-        let mut stack = vec![start];
-        while let Some((r, c)) = stack.pop() {
-            for (nr, nc) in [
-                (r.wrapping_sub(1), c),
-                (r + 1, c),
-                (r, c.wrapping_sub(1)),
-                (r, c + 1),
-            ] {
-                if nr < 3 && nc < 3 && self.keeps(nr, nc) && !seen.contains(&(nr, nc)) {
-                    seen.push((nr, nc));
-                    stack.push((nr, nc));
-                }
-            }
         }
-        seen.len() == cells.len()
+        let mut reached = kept & kept.wrapping_neg();
+        loop {
+            let grown = (reached
+                | reached >> 3
+                | reached << 3
+                | (reached & HAS_LEFT) >> 1
+                | (reached & HAS_RIGHT) << 1)
+                & kept;
+            if grown == reached {
+                return reached == kept;
+            }
+            reached = grown;
+        }
     }
 
     /// Applies the pattern to a flat row-major 3×3 kernel, zeroing the
@@ -156,6 +160,39 @@ impl Pattern {
         }
         s.sqrt()
     }
+}
+
+/// The L2 contest of Algorithm 2 over `patterns`: `(index, l2)` of the
+/// first pattern with the strictly greatest post-mask L2 norm.
+///
+/// The nine cells are squared once per kernel; each pattern then sums
+/// its kept squares in ascending cell order from `0.0` and takes the
+/// root, exactly as [`Pattern::masked_l2`] does, so scores — and ties,
+/// which `sqrt` can create — are bit-identical to calling it per
+/// pattern. (A dropped cell adds `+0.0`, which leaves a non-negative
+/// running sum unchanged.)
+///
+/// # Panics
+///
+/// Panics if `kernel.len() != 9`.
+fn best_of(patterns: &[Pattern], kernel: &[f32]) -> (usize, f32) {
+    assert_eq!(kernel.len(), 9, "pattern applies to 3x3 kernels");
+    let mut squares = [0.0f32; 9];
+    for (sq, &v) in squares.iter_mut().zip(kernel) {
+        *sq = v * v;
+    }
+    let mut best = (0usize, f32::NEG_INFINITY);
+    for (i, p) in patterns.iter().enumerate() {
+        let mut s = 0.0f32;
+        for (ci, &sq) in squares.iter().enumerate() {
+            s += if p.0 & (1 << ci) != 0 { sq } else { 0.0 };
+        }
+        let l2 = s.sqrt();
+        if l2 > best.1 {
+            best = (i, l2);
+        }
+    }
+    best
 }
 
 /// `n(k) = C(9, k)`: the number of raw pattern candidates (Eq. 1 with
@@ -264,14 +301,7 @@ impl PatternSet {
     ///
     /// Panics if `kernel.len() != 9`.
     pub fn best_for(&self, kernel: &[f32]) -> (usize, f32) {
-        let mut best = (0usize, f32::NEG_INFINITY);
-        for (i, p) in self.patterns.iter().enumerate() {
-            let l2 = p.masked_l2(kernel);
-            if l2 > best.1 {
-                best = (i, l2);
-            }
-        }
-        best
+        best_of(&self.patterns, kernel)
     }
 
     /// Restricts the set to the given pattern indices (used to share a
@@ -326,14 +356,7 @@ pub fn select_patterns(
         for v in &mut kernel {
             *v = rng.gen_range(-1.0f32..1.0);
         }
-        let mut best = (0usize, f32::NEG_INFINITY);
-        for (i, p) in candidates.iter().enumerate() {
-            let l2 = p.masked_l2(&kernel);
-            if l2 > best.1 {
-                best = (i, l2);
-            }
-        }
-        wins[best.0] += 1;
+        wins[best_of(&candidates, &kernel).0] += 1;
     }
     let mut order: Vec<usize> = (0..candidates.len()).collect();
     order.sort_by(|&a, &b| {
@@ -376,14 +399,7 @@ pub fn select_patterns_unfiltered(
         for v in &mut kernel {
             *v = rng.gen_range(-1.0f32..1.0);
         }
-        let mut best = (0usize, f32::NEG_INFINITY);
-        for (i, p) in candidates.iter().enumerate() {
-            let l2 = p.masked_l2(&kernel);
-            if l2 > best.1 {
-                best = (i, l2);
-            }
-        }
-        wins[best.0] += 1;
+        wins[best_of(&candidates, &kernel).0] += 1;
     }
     let mut order: Vec<usize> = (0..candidates.len()).collect();
     order.sort_by(|&a, &b| {
@@ -466,6 +482,65 @@ mod tests {
         // Diagonal neighbours don't count as adjacent.
         let p = Pattern::from_cells(&[(0, 0), (1, 1)]).unwrap();
         assert!(!p.is_connected());
+    }
+
+    #[test]
+    fn flood_fill_matches_dfs_on_every_mask() {
+        // The cell-list DFS the bit flood-fill replaced.
+        fn dfs_connected(p: Pattern) -> bool {
+            let cells = p.cells();
+            let Some(&start) = cells.first() else {
+                return false;
+            };
+            let mut seen = vec![start];
+            let mut stack = vec![start];
+            while let Some((r, c)) = stack.pop() {
+                for (nr, nc) in [
+                    (r.wrapping_sub(1), c),
+                    (r + 1, c),
+                    (r, c.wrapping_sub(1)),
+                    (r, c + 1),
+                ] {
+                    if nr < 3 && nc < 3 && p.keeps(nr, nc) && !seen.contains(&(nr, nc)) {
+                        seen.push((nr, nc));
+                        stack.push((nr, nc));
+                    }
+                }
+            }
+            seen.len() == cells.len()
+        }
+        for bits in 0u16..512 {
+            let p = Pattern::from_bits(bits).unwrap();
+            assert_eq!(p.is_connected(), dfs_connected(p), "mask {bits:#011b}");
+        }
+    }
+
+    #[test]
+    fn best_for_is_the_masked_l2_contest_bit_for_bit() {
+        let mut rng = init::rng(77);
+        for k in 2..=5 {
+            let set = canonical_set(k).unwrap();
+            for round in 0..500 {
+                let mut kernel = [0.0f32; 9];
+                for v in &mut kernel {
+                    *v = rng.gen_range(-1.0f32..1.0);
+                }
+                if round % 5 == 0 {
+                    // Ties: equal magnitudes make several patterns score
+                    // the same, so first-wins decides.
+                    kernel = kernel.map(|v| v.signum() * 0.5);
+                }
+                let mut want = (0usize, f32::NEG_INFINITY);
+                for (i, p) in set.patterns().iter().enumerate() {
+                    let l2 = p.masked_l2(&kernel);
+                    if l2 > want.1 {
+                        want = (i, l2);
+                    }
+                }
+                let got = set.best_for(&kernel);
+                assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
+            }
+        }
     }
 
     #[test]

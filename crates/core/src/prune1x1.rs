@@ -9,7 +9,7 @@
 //! line 13).
 
 use crate::pattern::PatternSet;
-use crate::prune3x3::prune_3x3_weights;
+use crate::prune3x3::{distinct_sorted, prune_chunks};
 use crate::PruneError;
 use rtoss_tensor::Tensor;
 
@@ -29,15 +29,17 @@ impl Prune1x1Output {
     /// The distinct pattern indices actually used, sorted ascending —
     /// the subset a parent layer shares with its group children.
     pub fn used_patterns(&self) -> Vec<usize> {
-        let mut v = self.chosen.clone();
-        v.sort_unstable();
-        v.dedup();
-        v
+        distinct_sorted(&self.chosen)
     }
 }
 
 /// Prunes a `(O, I, 1, 1)` weight tensor in place via the 1×1 → 3×3
 /// transformation (Algorithm 3).
+///
+/// The "temporary 3×3 matrices" of lines 5–11 are the consecutive
+/// 9-chunks of the flattened weight, so Algorithm 2 runs over them
+/// where they lie and lines 15–16 (reshape and write back) have nothing
+/// left to move.
 ///
 /// # Errors
 ///
@@ -47,41 +49,33 @@ pub fn prune_1x1_weights(
     weights: &mut Tensor,
     patterns: &PatternSet,
 ) -> Result<Prune1x1Output, PruneError> {
-    let shape = weights.shape().to_vec();
+    let shape = weights.shape();
     if shape.len() != 4 || shape[2] != 1 || shape[3] != 1 {
         return Err(PruneError::Shape {
             op: "prune_1x1",
             msg: format!("expected (O, I, 1, 1) weights, got {shape:?}"),
         });
     }
+    let mut mask = Tensor::zeros(shape);
     // Lines 1-2: flatten the kernel weights.
     let flat = weights.as_mut_slice();
-    let n = flat.len();
-    let full_chunks = n / 9;
-    let tail = n % 9;
-
-    let mut mask = vec![0.0f32; n];
-    let mut chosen = Vec::with_capacity(full_chunks);
-
-    if full_chunks > 0 {
-        // Lines 5-11: group every 9 weights into temporary 3×3 matrices.
-        let mut temp = Tensor::from_vec(flat[..full_chunks * 9].to_vec(), &[full_chunks, 1, 3, 3])?;
-        // Line 14: apply Algorithm 2 on the temporary matrices.
-        let out = prune_3x3_weights(&mut temp, patterns)?;
-        // Lines 15-16: reshape back to 1×1 and write into the original.
-        flat[..full_chunks * 9].copy_from_slice(temp.as_slice());
-        mask[..full_chunks * 9].copy_from_slice(out.mask.as_slice());
-        chosen = out.chosen;
-    }
-    // Line 13: leftover weights are considered zero and pruned.
-    for v in &mut flat[full_chunks * 9..] {
-        *v = 0.0;
-    }
-
+    let full = flat.len() / 9 * 9;
+    let mut chosen = Vec::with_capacity(full / 9);
+    // Lines 5-11 and 14: every 9 weights are one 3×3 matrix for
+    // Algorithm 2.
+    prune_chunks(
+        &mut flat[..full],
+        &mut mask.as_mut_slice()[..full],
+        patterns,
+        &mut chosen,
+    );
+    // Line 13: leftover weights are considered zero and pruned (their
+    // mask entries are already zero).
+    flat[full..].fill(0.0);
     Ok(Prune1x1Output {
-        mask: Tensor::from_vec(mask, &shape)?,
+        mask,
         chosen,
-        tail_pruned: tail,
+        tail_pruned: flat.len() - full,
     })
 }
 

@@ -24,10 +24,48 @@ impl Prune3x3Output {
     /// The distinct pattern indices actually used, sorted ascending —
     /// the subset a parent layer shares with its group children.
     pub fn used_patterns(&self) -> Vec<usize> {
-        let mut v = self.chosen.clone();
-        v.sort_unstable();
-        v.dedup();
-        v
+        distinct_sorted(&self.chosen)
+    }
+}
+
+/// The distinct values of `chosen`, ascending, read off a seen-table:
+/// one pass over the choices and one over the (pattern-set sized)
+/// table.
+pub(crate) fn distinct_sorted(chosen: &[usize]) -> Vec<usize> {
+    let mut seen: Vec<bool> = Vec::new();
+    for &c in chosen {
+        if c >= seen.len() {
+            seen.resize(c + 1, false);
+        }
+        seen[c] = true;
+    }
+    (0..seen.len()).filter(|&c| seen[c]).collect()
+}
+
+/// Algorithm 2 over a run of 9-weight chunks, in place: scores every
+/// pattern per chunk (lines 6–11), keeps the best fit's cells, zeroes
+/// the rest, writes the 0/1 mask and appends the chosen index.
+/// `weights` and `mask` are the same whole number of chunks.
+pub(crate) fn prune_chunks(
+    weights: &mut [f32],
+    mask: &mut [f32],
+    patterns: &PatternSet,
+    chosen: &mut Vec<usize>,
+) {
+    debug_assert_eq!(weights.len(), mask.len());
+    debug_assert_eq!(weights.len() % 9, 0);
+    for (kernel, m) in weights.chunks_exact_mut(9).zip(mask.chunks_exact_mut(9)) {
+        let (best, _) = patterns.best_for(kernel);
+        let bits = patterns.patterns()[best].bits();
+        for (ci, (w, m)) in kernel.iter_mut().zip(m.iter_mut()).enumerate() {
+            if bits & (1 << ci) != 0 {
+                *m = 1.0;
+            } else {
+                *w = 0.0;
+                *m = 0.0;
+            }
+        }
+        chosen.push(best);
     }
 }
 
@@ -42,30 +80,21 @@ pub fn prune_3x3_weights(
     weights: &mut Tensor,
     patterns: &PatternSet,
 ) -> Result<Prune3x3Output, PruneError> {
-    let shape = weights.shape().to_vec();
+    let shape = weights.shape();
     if shape.len() != 4 || shape[2] != 3 || shape[3] != 3 {
         return Err(PruneError::Shape {
             op: "prune_3x3",
             msg: format!("expected (O, I, 3, 3) weights, got {shape:?}"),
         });
     }
-    let (o, i) = (shape[0], shape[1]);
-    let mut mask = Tensor::zeros(&shape);
-    let mut chosen = Vec::with_capacity(o * i);
-    let wd = weights.as_mut_slice();
-    let md = mask.as_mut_slice();
-    for ki in 0..o * i {
-        let base = ki * 9;
-        let kernel: &mut [f32] = &mut wd[base..base + 9];
-        // Algorithm 2 lines 6-11: score every pattern, keep the best fit.
-        let (best, _) = patterns.best_for(kernel);
-        let p = patterns.patterns()[best];
-        p.apply(kernel);
-        for (ci, m) in md[base..base + 9].iter_mut().enumerate() {
-            *m = if p.bits() & (1 << ci) != 0 { 1.0 } else { 0.0 };
-        }
-        chosen.push(best);
-    }
+    let mut mask = Tensor::zeros(shape);
+    let mut chosen = Vec::with_capacity(shape[0] * shape[1]);
+    prune_chunks(
+        weights.as_mut_slice(),
+        mask.as_mut_slice(),
+        patterns,
+        &mut chosen,
+    );
     Ok(Prune3x3Output { mask, chosen })
 }
 

@@ -50,8 +50,15 @@ impl Param {
     /// Returns [`TensorError::ShapeMismatch`] if the mask shape differs
     /// from the value shape.
     pub fn set_mask(&mut self, mask: Tensor) -> Result<(), TensorError> {
-        self.value = self.value.mul(&mask)?;
+        if mask.shape() != self.value.shape() {
+            return Err(TensorError::ShapeMismatch {
+                left: self.value.shape().to_vec(),
+                right: mask.shape().to_vec(),
+                op: "set_mask",
+            });
+        }
         self.mask = Some(mask);
+        self.apply_mask();
         Ok(())
     }
 
@@ -68,10 +75,14 @@ impl Param {
     /// Re-applies the mask to the value (no-op when unmasked).
     pub fn apply_mask(&mut self) {
         if let Some(mask) = &self.mask {
-            self.value = self
-                .value
-                .mul(mask)
-                .expect("mask shape verified at set_mask");
+            assert_eq!(
+                self.value.shape(),
+                mask.shape(),
+                "mask shape verified at set_mask"
+            );
+            for (v, &m) in self.value.as_mut_slice().iter_mut().zip(mask.as_slice()) {
+                *v *= m;
+            }
         }
     }
 

@@ -57,14 +57,121 @@ impl fmt::Display for FormatViolation {
     }
 }
 
-/// One group of kernels sharing the same non-zero pattern.
+/// Bounds the findings one check reports per diagnostic code, so a
+/// badly desynced multi-million-weight layer yields a screenful of
+/// findings and a count instead of one formatted string per weight.
+/// Shared with `rtoss-verify`'s per-weight model checks so both levels
+/// cap the same way. Whether a code fired at all is never affected.
+#[derive(Debug, Default)]
+pub struct FindingCap {
+    /// `(code, findings seen)`; a handful of codes, so a linear scan.
+    seen: Vec<(&'static str, usize)>,
+}
+
+impl FindingCap {
+    /// Findings reported in full per code (per layer).
+    pub const LIMIT: usize = 16;
+
+    /// Counts one finding under `code`; `true` while the code is still
+    /// within [`FindingCap::LIMIT`] and the finding should be reported.
+    pub fn admit(&mut self, code: &'static str) -> bool {
+        let at = match self.seen.iter().position(|&(c, _)| c == code) {
+            Some(at) => at,
+            None => {
+                self.seen.push((code, 0));
+                self.seen.len() - 1
+            }
+        };
+        self.seen[at].1 += 1;
+        self.seen[at].1 <= Self::LIMIT
+    }
+
+    /// One `(code, "… and N more …")` closing message for every code
+    /// that went over the limit, in first-seen order.
+    pub fn withheld(&self) -> impl Iterator<Item = (&'static str, String)> + '_ {
+        self.seen
+            .iter()
+            .filter(|&&(_, n)| n > Self::LIMIT)
+            .map(|&(code, n)| {
+                let more = n - Self::LIMIT;
+                (
+                    code,
+                    format!("… and {more} more {code} finding(s) in this layer"),
+                )
+            })
+    }
+}
+
+/// A `validate()` result under construction: capped per code, messages
+/// formatted only for findings that are kept.
+#[derive(Default)]
+struct Violations {
+    out: Vec<FormatViolation>,
+    cap: FindingCap,
+}
+
+impl Violations {
+    fn push(&mut self, code: &'static str, message: impl FnOnce() -> String) {
+        if self.cap.admit(code) {
+            self.out.push(FormatViolation::new(code, message()));
+        }
+    }
+
+    fn finish(mut self) -> Vec<FormatViolation> {
+        for (code, message) in self.cap.withheld() {
+            self.out.push(FormatViolation::new(code, message));
+        }
+        self.out
+    }
+}
+
+/// One group of kernels sharing the same non-zero pattern, stored as
+/// flat arrays: kernel `i` is `coords[i]` and owns
+/// `values[i * offsets.len()..][..offsets.len()]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PatternGroup {
     /// The shared non-zero cells as `(ky, kx)` offsets, row-major.
     pub offsets: Vec<(usize, usize)>,
-    /// Member kernels: `(out_channel, in_channel, values)` where
-    /// `values[i]` belongs to `offsets[i]`.
-    pub kernels: Vec<(usize, usize, Vec<f32>)>,
+    /// Member kernels as `(out_channel, in_channel)`.
+    pub coords: Vec<(u32, u32)>,
+    /// Kernel-major values, `offsets.len()` per kernel in `coords`
+    /// order; within a kernel, value `j` belongs to `offsets[j]`.
+    pub values: Vec<f32>,
+}
+
+impl PatternGroup {
+    /// Builds a group from per-kernel `(out_channel, in_channel,
+    /// values)` triples, concatenating the values as given — the
+    /// literal-friendly constructor for tests and fixtures. Nothing is
+    /// checked: a kernel with the wrong value count makes the group
+    /// ragged, which `validate()` reports as RV011.
+    pub fn from_kernels(offsets: Vec<(usize, usize)>, kernels: &[(usize, usize, &[f32])]) -> Self {
+        let narrow = |c: usize| u32::try_from(c).unwrap_or(u32::MAX);
+        PatternGroup {
+            offsets,
+            coords: kernels
+                .iter()
+                .map(|&(oc, ic, _)| (narrow(oc), narrow(ic)))
+                .collect(),
+            values: kernels
+                .iter()
+                .flat_map(|&(_, _, values)| values)
+                .copied()
+                .collect(),
+        }
+    }
+
+    /// The member kernels as `(out_channel, in_channel, values)`.
+    /// Total on a ragged group: kernels past the end of `values` yield
+    /// short or empty slices.
+    pub fn kernels(&self) -> impl Iterator<Item = (usize, usize, &[f32])> + '_ {
+        let taps = self.offsets.len();
+        self.coords.iter().enumerate().map(move |(i, &(oc, ic))| {
+            let start = (i * taps).min(self.values.len());
+            let end = (start + taps).min(self.values.len());
+            (oc as usize, ic as usize, &self.values[start..end])
+        })
+    }
 }
 
 /// A pruned conv layer stored grouped by kernel pattern.
@@ -104,40 +211,35 @@ impl PatternCompressedConv {
         }
         let (o, i, k) = (shape[0], shape[1], shape[2]);
         let kk = k * k;
-        let wd = w.as_slice();
-        // Group kernels by their non-zero bitmask.
+        // Group kernels by their non-zero bitmask; ascending-mask group
+        // order, row-major kernel order inside a group. (`max(1)`: an
+        // empty weight has no chunks, whatever the chunk length.)
         let mut by_pattern: BTreeMap<u64, PatternGroup> = BTreeMap::new();
-        let mut stored = 0usize;
-        for oc in 0..o {
-            for ic in 0..i {
-                let base = (oc * i + ic) * kk;
-                let cells = &wd[base..base + kk];
+        for (oc, row) in w.as_slice().chunks_exact((i * kk).max(1)).enumerate() {
+            for (ic, cells) in row.chunks_exact(kk.max(1)).enumerate() {
                 let mut bits = 0u64;
                 for (ci, &v) in cells.iter().enumerate() {
-                    if v != 0.0 {
-                        bits |= 1 << ci;
-                    }
+                    bits |= u64::from(v != 0.0) << ci;
                 }
                 if bits == 0 {
                     continue; // fully pruned kernel: skipped entirely
                 }
-                let entry = by_pattern.entry(bits).or_insert_with(|| PatternGroup {
+                let group = by_pattern.entry(bits).or_insert_with(|| PatternGroup {
                     offsets: (0..kk)
                         .filter(|ci| bits & (1 << ci) != 0)
                         .map(|ci| (ci / k, ci % k))
                         .collect(),
-                    kernels: Vec::new(),
+                    coords: Vec::new(),
+                    values: Vec::new(),
                 });
-                let values: Vec<f32> = entry
-                    .offsets
-                    .iter()
-                    .map(|&(ky, kx)| cells[ky * k + kx])
-                    .collect();
-                stored += values.len();
-                entry.kernels.push((oc, ic, values));
+                group.coords.push((oc as u32, ic as u32));
+                group
+                    .values
+                    .extend(cells.iter().copied().filter(|&v| v != 0.0));
             }
         }
         let groups: Vec<PatternGroup> = by_pattern.into_values().collect();
+        let stored = groups.iter().map(|g| g.values.len()).sum();
         let pack = Pack::from_groups(o, i, k, stride, pad, &groups);
         Ok(PatternCompressedConv {
             out_ch: o,
@@ -219,11 +321,7 @@ impl PatternCompressedConv {
         pad: usize,
         groups: Vec<PatternGroup>,
     ) -> Self {
-        let stored = groups
-            .iter()
-            .flat_map(|g| g.kernels.iter())
-            .map(|(_, _, v)| v.len())
-            .sum();
+        let stored = groups.iter().map(|g| g.values.len()).sum();
         let pack = Pack::from_groups(out_ch, in_ch, kernel, stride, pad, &groups);
         PatternCompressedConv {
             out_ch,
@@ -246,108 +344,110 @@ impl PatternCompressedConv {
     }
 
     /// Checks every structural invariant the sparse executor relies on,
-    /// returning one [`FormatViolation`] per breach (empty = valid).
+    /// returning one [`FormatViolation`] per breach (empty = valid), at
+    /// most [`FindingCap::LIMIT`] per code plus one "… and N more".
     ///
     /// Invariants, with their RV0xx codes:
     /// - **RV010** — group offsets are non-empty, strictly increasing in
     ///   row-major `(ky, kx)` order, in-bounds for the kernel extent,
     ///   and no two groups share the same pattern;
-    /// - **RV011** — kernel coordinates `(oc, ic)` are in-bounds, appear
-    ///   at most once across all groups, and each kernel carries exactly
-    ///   one value per offset;
+    /// - **RV011** — each group holds exactly one value per offset per
+    ///   kernel (`values.len() == coords.len() * offsets.len()`), and
+    ///   kernel coordinates `(oc, ic)` are in-bounds and appear at most
+    ///   once across all groups;
     /// - **RV012** — `stored_weights` equals the values actually held
     ///   and no stored value is zero (zeros must be *dropped*, or the
     ///   compression ratio lies).
     pub fn validate(&self) -> Vec<FormatViolation> {
-        let mut out = Vec::new();
+        let mut out = Violations::default();
         let k = self.kernel;
         let mut seen_patterns = std::collections::BTreeSet::new();
-        let mut seen_kernels = std::collections::BTreeSet::new();
+        // One bit per (oc, ic) of the layer; out-of-range coordinates
+        // are their own RV011 and never index it.
+        let mut seen_kernels = vec![0u64; (self.out_ch * self.in_ch).div_ceil(64)];
         let mut stored = 0usize;
         for (gi, g) in self.groups.iter().enumerate() {
             if g.offsets.is_empty() {
-                out.push(FormatViolation::new(
-                    "RV010",
-                    format!("group {gi}: empty offset pattern"),
-                ));
+                out.push("RV010", || format!("group {gi}: empty offset pattern"));
             }
             for w in g.offsets.windows(2) {
                 let (a, b) = (w[0], w[1]);
                 if a.0 * k + a.1 >= b.0 * k + b.1 {
-                    out.push(FormatViolation::new(
-                        "RV010",
-                        format!("group {gi}: offsets not strictly row-major sorted at {a:?},{b:?}"),
-                    ));
+                    out.push("RV010", || {
+                        format!("group {gi}: offsets not strictly row-major sorted at {a:?},{b:?}")
+                    });
                 }
             }
             for &(ky, kx) in &g.offsets {
                 if ky >= k || kx >= k {
-                    out.push(FormatViolation::new(
-                        "RV010",
-                        format!("group {gi}: offset ({ky},{kx}) out of bounds for kernel {k}"),
-                    ));
+                    out.push("RV010", || {
+                        format!("group {gi}: offset ({ky},{kx}) out of bounds for kernel {k}")
+                    });
                 }
             }
-            if !seen_patterns.insert(g.offsets.clone()) {
-                out.push(FormatViolation::new(
-                    "RV010",
-                    format!("group {gi}: duplicate pattern {:?}", g.offsets),
-                ));
+            if !seen_patterns.insert(&g.offsets) {
+                out.push("RV010", || {
+                    format!("group {gi}: duplicate pattern {:?}", g.offsets)
+                });
             }
-            for &(oc, ic, ref values) in &g.kernels {
+            if g.values.len() != g.coords.len() * g.offsets.len() {
+                out.push("RV011", || {
+                    format!(
+                        "group {gi}: {} values for {} kernels of {} offsets",
+                        g.values.len(),
+                        g.coords.len(),
+                        g.offsets.len()
+                    )
+                });
+            }
+            for &(oc, ic) in &g.coords {
+                let (oc, ic) = (oc as usize, ic as usize);
                 if oc >= self.out_ch || ic >= self.in_ch {
-                    out.push(FormatViolation::new(
-                        "RV011",
+                    out.push("RV011", || {
                         format!(
                             "group {gi}: kernel ({oc},{ic}) out of bounds for {}x{} layer",
                             self.out_ch, self.in_ch
-                        ),
-                    ));
+                        )
+                    });
+                    continue;
                 }
-                if !seen_kernels.insert((oc, ic)) {
-                    out.push(FormatViolation::new(
-                        "RV011",
-                        format!("kernel ({oc},{ic}) stored more than once"),
-                    ));
+                let at = oc * self.in_ch + ic;
+                let bit = 1u64 << (at % 64);
+                if seen_kernels[at / 64] & bit != 0 {
+                    out.push("RV011", || {
+                        format!("kernel ({oc},{ic}) stored more than once")
+                    });
                 }
-                if values.len() != g.offsets.len() {
-                    out.push(FormatViolation::new(
-                        "RV011",
-                        format!(
-                            "group {gi}: kernel ({oc},{ic}) has {} values for {} offsets",
-                            values.len(),
-                            g.offsets.len()
-                        ),
-                    ));
-                }
-                if values.contains(&0.0) {
-                    out.push(FormatViolation::new(
-                        "RV012",
-                        format!("group {gi}: kernel ({oc},{ic}) stores an explicit zero"),
-                    ));
-                }
-                stored += values.len();
+                seen_kernels[at / 64] |= bit;
             }
+            if g.values.contains(&0.0) {
+                for (oc, ic, values) in g.kernels() {
+                    if values.contains(&0.0) {
+                        out.push("RV012", || {
+                            format!("group {gi}: kernel ({oc},{ic}) stores an explicit zero")
+                        });
+                    }
+                }
+            }
+            stored += g.values.len();
         }
         if stored != self.stored_weights {
-            out.push(FormatViolation::new(
-                "RV012",
+            out.push("RV012", || {
                 format!(
                     "stored_weights bookkeeping says {} but {} values are held",
                     self.stored_weights, stored
-                ),
-            ));
+                )
+            });
         }
         if self.dense_weights != self.out_ch * self.in_ch * k * k {
-            out.push(FormatViolation::new(
-                "RV012",
+            out.push("RV012", || {
                 format!(
                     "dense_weights bookkeeping says {} for a {}x{}x{k}x{k} layer",
                     self.dense_weights, self.out_ch, self.in_ch
-                ),
-            ));
+                )
+            });
         }
-        out
+        out.finish()
     }
 
     /// Reconstructs the dense weight tensor (for verification).
@@ -356,7 +456,7 @@ impl PatternCompressedConv {
         let mut w = Tensor::zeros(&[self.out_ch, self.in_ch, k, k]);
         let wd = w.as_mut_slice();
         for g in &self.groups {
-            for (oc, ic, values) in &g.kernels {
+            for (oc, ic, values) in g.kernels() {
                 let base = (oc * self.in_ch + ic) * k * k;
                 for (&(ky, kx), &v) in g.offsets.iter().zip(values.iter()) {
                     wd[base + ky * k + kx] = v;
@@ -401,17 +501,12 @@ impl UnstructuredSparseConv {
             });
         }
         let (o, i, k) = (shape[0], shape[1], shape[2]);
-        let mut entries = Vec::new();
-        for oc in 0..o {
-            for ic in 0..i {
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let v = w.at(&[oc, ic, ky, kx]);
-                        if v != 0.0 {
-                            entries.push((oc, ic, ky, kx, v));
-                        }
-                    }
-                }
+        let wd = w.as_slice();
+        let mut entries = Vec::with_capacity(wd.len() - w.count_zeros());
+        for (at, &v) in wd.iter().enumerate() {
+            if v != 0.0 {
+                let (kernel, cell) = (at / (k * k), at % (k * k));
+                entries.push((kernel / i, kernel % i, cell / k, cell % k, v));
             }
         }
         let pack = Pack::from_coo(o, i, k, stride, pad, &entries);
@@ -489,51 +584,48 @@ impl UnstructuredSparseConv {
     }
 
     /// Checks the COO invariants the unstructured executor relies on,
-    /// returning one [`FormatViolation`] per breach (empty = valid).
+    /// returning one [`FormatViolation`] per breach (empty = valid), at
+    /// most [`FindingCap::LIMIT`] plus one "… and N more".
     ///
     /// All violations carry code **RV013**: entries must be in-bounds,
     /// strictly sorted in `(oc, ic, ky, kx)` lexicographic order (which
     /// also rules out duplicates), and must not store explicit zeros.
     pub fn validate(&self) -> Vec<FormatViolation> {
-        let mut out = Vec::new();
+        let mut out = Violations::default();
         let k = self.kernel;
         for &(oc, ic, ky, kx, v) in &self.entries {
             if oc >= self.out_ch || ic >= self.in_ch || ky >= k || kx >= k {
-                out.push(FormatViolation::new(
-                    "RV013",
+                out.push("RV013", || {
                     format!(
                         "entry ({oc},{ic},{ky},{kx}) out of bounds for {}x{}x{k}x{k} layer",
                         self.out_ch, self.in_ch
-                    ),
-                ));
+                    )
+                });
             }
             if v == 0.0 {
-                out.push(FormatViolation::new(
-                    "RV013",
-                    format!("entry ({oc},{ic},{ky},{kx}) stores an explicit zero"),
-                ));
+                out.push("RV013", || {
+                    format!("entry ({oc},{ic},{ky},{kx}) stores an explicit zero")
+                });
             }
         }
         for w in self.entries.windows(2) {
             let a = (w[0].0, w[0].1, w[0].2, w[0].3);
             let b = (w[1].0, w[1].1, w[1].2, w[1].3);
             if a >= b {
-                out.push(FormatViolation::new(
-                    "RV013",
-                    format!("entries not strictly sorted at {a:?},{b:?}"),
-                ));
+                out.push("RV013", || {
+                    format!("entries not strictly sorted at {a:?},{b:?}")
+                });
             }
         }
         if self.dense_weights != self.out_ch * self.in_ch * k * k {
-            out.push(FormatViolation::new(
-                "RV013",
+            out.push("RV013", || {
                 format!(
                     "dense_weights bookkeeping says {} for a {}x{}x{k}x{k} layer",
                     self.dense_weights, self.out_ch, self.in_ch
-                ),
-            ));
+                )
+            });
         }
-        out
+        out.finish()
     }
 
     /// Reconstructs the dense weight tensor (for verification).
@@ -612,8 +704,8 @@ mod tests {
         }
         let pc = PatternCompressedConv::from_dense(&w, 1, 1).unwrap();
         for g in pc.groups() {
-            for k in &g.kernels {
-                assert_ne!(k.0, 0, "zeroed kernel (0, {}) still stored", k.1);
+            for (oc, ic, _) in g.kernels() {
+                assert_ne!(oc, 0, "zeroed kernel (0, {ic}) still stored");
             }
         }
         assert_eq!(pc.to_dense(), w);
@@ -663,14 +755,11 @@ mod tests {
             1,
             1,
             vec![
-                PatternGroup {
-                    offsets: vec![(1, 1), (0, 0), (3, 0)],
-                    kernels: vec![(0, 0, vec![1.0, 2.0, 3.0]), (0, 0, vec![1.0, 0.0, 3.0])],
-                },
-                PatternGroup {
-                    offsets: vec![(0, 1)],
-                    kernels: vec![(5, 0, vec![1.0, 2.0])],
-                },
+                PatternGroup::from_kernels(
+                    vec![(1, 1), (0, 0), (3, 0)],
+                    &[(0, 0, &[1.0, 2.0, 3.0]), (0, 0, &[1.0, 0.0, 3.0])],
+                ),
+                PatternGroup::from_kernels(vec![(0, 1)], &[(5, 0, &[1.0, 2.0])]),
             ],
         );
         let vs = bad.validate();
@@ -691,6 +780,33 @@ mod tests {
         let vs = bad.validate();
         assert!(codes(&vs).contains("RV013"), "{vs:?}");
         assert!(vs.len() >= 3, "{vs:?}");
+    }
+
+    #[test]
+    fn findings_are_capped_per_code_with_a_count() {
+        // 100 copies of one kernel, each storing a zero: 99 duplicate
+        // RV011s and 100 RV012s, reported as 16 + "… and N more" each.
+        let copies: Vec<(usize, usize, &[f32])> = vec![(0, 0, &[1.0, 0.0]); 100];
+        let bad = PatternCompressedConv::from_parts(
+            1,
+            1,
+            3,
+            1,
+            1,
+            vec![PatternGroup::from_kernels(vec![(0, 0), (0, 1)], &copies)],
+        );
+        let vs = bad.validate();
+        for (code, total) in [("RV011", 99), ("RV012", 100)] {
+            let of_code: Vec<_> = vs.iter().filter(|v| v.code == code).collect();
+            assert_eq!(of_code.len(), FindingCap::LIMIT + 1, "{code}: {vs:?}");
+            let more = format!("and {} more", total - FindingCap::LIMIT);
+            assert!(of_code.last().unwrap().message.contains(&more), "{vs:?}");
+        }
+
+        let entries = vec![(0, 0, 0, 0, 1.0); 50];
+        let vs = UnstructuredSparseConv::from_entries(1, 1, 3, 1, 1, entries).validate();
+        assert_eq!(vs.len(), FindingCap::LIMIT + 1, "{vs:?}");
+        assert!(vs.last().unwrap().message.contains("and 33 more"), "{vs:?}");
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub mod plan;
 pub mod runtime;
 
 pub use format::{
-    FormatViolation, PatternCompressedConv, PatternGroup, SparseFormatError, UnstructuredSparseConv,
+    FindingCap, FormatViolation, PatternCompressedConv, PatternGroup, SparseFormatError,
+    UnstructuredSparseConv,
 };
 pub use model::{SparseModel, SparseModelError};
 pub use pack::{coo_from_pattern, Pack};

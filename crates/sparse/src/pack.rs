@@ -38,7 +38,7 @@ use crate::format::{PatternCompressedConv, PatternGroup, UnstructuredSparseConv}
 use rtoss_tensor::Tensor;
 
 /// One pack entry: the surviving taps of one `(oc, ic)` kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Entry {
     /// Input channel the kernel reads.
     ic: u32,
@@ -88,10 +88,37 @@ fn uniform_of(entries: &[Entry]) -> Option<u32> {
     entries.iter().all(|e| e.taps == t).then_some(t)
 }
 
+/// Exclusive prefix sum in place: `counts[b]` becomes the number of
+/// items in buckets before `b`. With one spare trailing bucket, the
+/// last element ends up as the total.
+fn exclusive_prefix_sum(counts: &mut [u32]) {
+    let mut running = 0u32;
+    for c in counts {
+        running += std::mem::replace(c, running);
+    }
+}
+
+/// A group's `(kernel index, (oc, ic))` pairs whose output channel is
+/// in range — the kernels a pack keeps.
+fn kept(g: &PatternGroup, out_ch: usize) -> impl Iterator<Item = (usize, (u32, u32))> + '_ {
+    g.coords
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(move |&(_, (oc, _))| (oc as usize) < out_ch)
+}
+
 impl Pack {
     /// The pattern view: builds the pack from pattern groups, storing
     /// each group's offsets once. Total: kernels whose output channel
-    /// is out of range are dropped (corruption-fixture layers).
+    /// is out of range are dropped (corruption-fixture layers), and
+    /// out-of-range input channels sort after every valid one.
+    ///
+    /// A counting sort on `(oc, ic)`: count the kernels per bucket,
+    /// prefix-sum, deal them in group order (so kernels that share a
+    /// bucket keep group order), then lay the values down once in the
+    /// final entry order. Linear in kernels plus `out_ch × in_ch`, a
+    /// fixed number of allocations.
     pub fn from_groups(
         out_ch: usize,
         in_ch: usize,
@@ -100,37 +127,54 @@ impl Pack {
         pad: usize,
         groups: &[PatternGroup],
     ) -> Self {
-        // Pass 1: store each group's offsets once and stage every
-        // kernel under its output channel.
-        // (ic, taps, offset-table start, borrowed kernel values)
-        type Staged<'a> = (u32, u32, u32, &'a [f32]);
-        let mut offsets = Vec::new();
-        let mut staged: Vec<Vec<Staged>> = vec![Vec::new(); out_ch];
+        // Bucket of a kernel: its oc's row of `in_ch + 1` slots, the
+        // last one collecting out-of-range input channels.
+        let row = in_ch + 1;
+        let bucket = |oc: u32, ic: u32| oc as usize * row + (ic as usize).min(in_ch);
+
+        // Pass 1: each group's offsets once; kernels counted per bucket.
+        let mut offsets = Vec::with_capacity(groups.iter().map(|g| g.offsets.len()).sum());
+        let mut cursor = vec![0u32; out_ch * row + 1];
         for g in groups {
-            let off = offsets.len() as u32;
             offsets.extend(g.offsets.iter().map(|&(ky, kx)| tap(ky, kx)));
-            for (oc, ic, values) in &g.kernels {
-                if *oc >= out_ch {
-                    continue;
-                }
-                let taps = (g.offsets.len() as u32).min(values.len() as u32);
-                staged[*oc].push((*ic as u32, taps, off, values.as_slice()));
+            for (_, (oc, ic)) in kept(g, out_ch) {
+                cursor[bucket(oc, ic)] += 1;
             }
         }
-        // Pass 2: canonical (ic-ascending, stable) order per oc, then
-        // lay values down kernel-major in that final order.
-        let mut oc_ranges = Vec::with_capacity(out_ch);
-        let mut entries = Vec::new();
-        let mut values = Vec::new();
-        for ocs in &mut staged {
-            ocs.sort_by_key(|&(ic, _, _, _)| ic); // stable: ties keep group order
-            let start = entries.len() as u32;
-            for &(ic, taps, off, vals) in ocs.iter() {
-                let val = values.len() as u32;
-                values.extend_from_slice(&vals[..taps as usize]);
-                entries.push(Entry { ic, taps, off, val });
+        exclusive_prefix_sum(&mut cursor);
+        let total = cursor[out_ch * row] as usize;
+        let oc_ranges = (0..out_ch)
+            .map(|oc| (cursor[oc * row], cursor[(oc + 1) * row]))
+            .collect();
+
+        // Pass 2: deal every kernel to its final slot, remembering where
+        // its values live (`val` holds the source start for now).
+        let mut entries = vec![Entry::default(); total];
+        let mut source = vec![0u32; total];
+        let mut off = 0u32;
+        for (gi, g) in groups.iter().enumerate() {
+            let taps = g.offsets.len();
+            for (ki, (oc, ic)) in kept(g, out_ch) {
+                let start = (ki * taps).min(g.values.len());
+                let slot = &mut cursor[bucket(oc, ic)];
+                entries[*slot as usize] = Entry {
+                    ic,
+                    taps: taps.min(g.values.len() - start) as u32,
+                    off,
+                    val: start as u32,
+                };
+                source[*slot as usize] = gi as u32;
+                *slot += 1;
             }
-            oc_ranges.push((start, entries.len() as u32));
+            off += taps as u32;
+        }
+
+        // Pass 3: values kernel-major in final order, exact capacity.
+        let mut values = Vec::with_capacity(entries.iter().map(|e| e.taps as usize).sum());
+        for (e, &gi) in entries.iter_mut().zip(&source) {
+            let from = e.val as usize;
+            e.val = values.len() as u32;
+            values.extend_from_slice(&groups[gi as usize].values[from..from + e.taps as usize]);
         }
         Pack {
             out_ch,
@@ -151,6 +195,9 @@ impl Pack {
     /// the canonical order for valid layers), merging consecutive
     /// entries of one `(oc, ic)` pair into a run that owns its offsets.
     /// Total: out-of-range output channels are dropped.
+    ///
+    /// A counting sort on `oc` (stable, so each output channel keeps
+    /// its stored order), then one pass that cuts the runs.
     pub fn from_coo(
         out_ch: usize,
         in_ch: usize,
@@ -159,32 +206,45 @@ impl Pack {
         pad: usize,
         coo: &[(usize, usize, usize, usize, f32)],
     ) -> Self {
-        let mut per_oc: Vec<Vec<(usize, usize, usize, f32)>> = vec![Vec::new(); out_ch];
-        for &(oc, ic, ky, kx, v) in coo {
-            if oc < out_ch {
-                per_oc[oc].push((ic, ky, kx, v));
-            }
+        let kept = || coo.iter().filter(|e| e.0 < out_ch);
+        let mut cursor = vec![0u32; out_ch + 1];
+        for &(oc, ..) in kept() {
+            cursor[oc] += 1;
         }
+        exclusive_prefix_sum(&mut cursor);
+        let total = cursor[out_ch] as usize;
+
+        let mut ics = vec![0u32; total];
+        let mut offsets = vec![(0u8, 0u8); total];
+        let mut values = vec![0.0f32; total];
+        for &(oc, ic, ky, kx, v) in kept() {
+            let at = cursor[oc] as usize;
+            cursor[oc] += 1;
+            ics[at] = ic as u32;
+            offsets[at] = tap(ky, kx);
+            values[at] = v;
+        }
+
+        // After the deal `cursor[oc]` is the end of oc's weights, which
+        // is where oc + 1's begin.
         let mut oc_ranges = Vec::with_capacity(out_ch);
         let mut entries: Vec<Entry> = Vec::new();
-        let mut offsets = Vec::new();
-        let mut values = Vec::new();
-        for ocs in &per_oc {
+        let mut lo = 0u32;
+        for &hi in &cursor[..out_ch] {
             let start = entries.len();
-            for &(ic, ky, kx, v) in ocs {
+            for at in lo..hi {
                 match entries[start..].last_mut() {
-                    Some(run) if run.ic as usize == ic => run.taps += 1,
+                    Some(run) if run.ic == ics[at as usize] => run.taps += 1,
                     _ => entries.push(Entry {
-                        ic: ic as u32,
+                        ic: ics[at as usize],
                         taps: 1,
-                        off: offsets.len() as u32,
-                        val: values.len() as u32,
+                        off: at,
+                        val: at,
                     }),
                 }
-                offsets.push(tap(ky, kx));
-                values.push(v);
             }
             oc_ranges.push((start as u32, entries.len() as u32));
+            lo = hi;
         }
         Pack {
             out_ch,
@@ -274,10 +334,10 @@ impl Pack {
 pub fn coo_from_pattern(layer: &PatternCompressedConv) -> UnstructuredSparseConv {
     let mut entries = Vec::with_capacity(layer.stored_weights());
     for g in layer.groups() {
-        for (oc, ic, values) in &g.kernels {
+        for (oc, ic, values) in g.kernels() {
             for (&(ky, kx), &v) in g.offsets.iter().zip(values) {
                 if v != 0.0 {
-                    entries.push((*oc, *ic, ky, kx, v));
+                    entries.push((oc, ic, ky, kx, v));
                 }
             }
         }
@@ -371,10 +431,10 @@ mod tests {
 
     #[test]
     fn builders_total_on_corrupt_coordinates() {
-        let groups = vec![PatternGroup {
-            offsets: vec![(9, 0), (300, 300)],
-            kernels: vec![(99, 7, vec![1.0, 2.0]), (0, 99, vec![3.0, 4.0])],
-        }];
+        let groups = vec![PatternGroup::from_kernels(
+            vec![(9, 0), (300, 300)],
+            &[(99, 7, &[1.0, 2.0]), (0, 99, &[3.0, 4.0])],
+        )];
         let pack = Pack::from_groups(2, 1, 3, 1, 1, &groups);
         assert_eq!(pack.kernel_count(), 1); // oc 99 dropped
         let _ = pack.to_dense(); // out-of-range ic/taps skipped

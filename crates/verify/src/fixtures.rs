@@ -247,17 +247,15 @@ pub fn format_fixture() -> Report {
         1,
         1,
         vec![
-            PatternGroup {
-                offsets: vec![(1, 1), (0, 0), (3, 0)], // unsorted + out of bounds
-                kernels: vec![
-                    (0, 0, vec![1.0, 2.0, 3.0]),
-                    (0, 0, vec![4.0, 0.0, 6.0]), // duplicate kernel + stored zero
+            PatternGroup::from_kernels(
+                vec![(1, 1), (0, 0), (3, 0)], // unsorted + out of bounds
+                &[
+                    (0, 0, &[1.0, 2.0, 3.0]),
+                    (0, 0, &[4.0, 0.0, 6.0]), // duplicate kernel + stored zero
                 ],
-            },
-            PatternGroup {
-                offsets: vec![(2, 2)],
-                kernels: vec![(5, 0, vec![7.0, 8.0])], // two values for one offset
-            },
+            ),
+            // two values for one offset: a ragged group
+            PatternGroup::from_kernels(vec![(2, 2)], &[(5, 0, &[7.0, 8.0])]),
         ],
     );
     let mut report = Report::new();

@@ -29,7 +29,7 @@
 //! | RV006 | model  | whole-graph shape inference succeeds |
 //! | RV007 | model  | mask shape matches weight; no weight survives a zero mask |
 //! | RV010 | sparse | pattern offsets sorted, in-bounds, distinct per layer |
-//! | RV011 | sparse | kernel coordinates in-bounds, unique, value counts match |
+//! | RV011 | sparse | kernel coordinates in-bounds and unique, one value per offset per kernel |
 //! | RV012 | sparse | nnz bookkeeping consistent; no explicit zeros stored |
 //! | RV013 | sparse | COO entries sorted, in-bounds, non-zero |
 //! | RV014 | sparse | dense reconstruction matches the nnz bookkeeping |

@@ -31,7 +31,8 @@ use rtoss_core::dfs::group_layers;
 use rtoss_core::pattern::Pattern;
 use rtoss_nn::layers::Conv2d;
 use rtoss_nn::{Graph, NodeId};
-use std::collections::BTreeSet;
+use rtoss_sparse::FindingCap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Legal pattern entry counts: EntryPattern::{Two..Five}.
 const MIN_ENTRIES: u32 = 2;
@@ -42,134 +43,202 @@ const MAX_ENTRIES: u32 = 5;
 pub(crate) fn chunk_bits(chunk: &[f32]) -> u16 {
     let mut bits = 0u16;
     for (i, &m) in chunk.iter().enumerate() {
-        if m != 0.0 {
-            bits |= 1 << i;
-        }
+        bits |= u16::from(m != 0.0) << i;
     }
     bits
 }
 
-/// The distinct pattern bitmasks a masked conv layer uses, reading the
-/// mask in 9-weight chunks (kernels for 3×3 layers, Algorithm 3 chunks
-/// for 1×1 layers). Returns `None` for unmasked or other-kernel layers.
-fn layer_pattern_bits(conv: &Conv2d) -> Option<BTreeSet<u16>> {
-    let mask = conv.weight().mask()?;
-    if !matches!(conv.kernel_size(), 1 | 3) {
-        return None;
-    }
-    let mut set = BTreeSet::new();
-    for chunk in mask.as_slice().chunks_exact(9) {
-        set.insert(chunk_bits(chunk));
-    }
-    Some(set)
+/// The RV001/RV002 verdict on one 9-bit mask.
+#[derive(Clone, Copy, PartialEq)]
+enum Legality {
+    /// 2..=5 entries, 4-adjacent connected.
+    Legal,
+    /// Entry count outside 2..=5 (RV001).
+    BadCount,
+    /// Legal count but not one connected component (RV002).
+    Disconnected,
 }
 
-/// Checks mask/weight agreement for one conv node (RV007) and the
-/// per-chunk pattern legality rules (RV001/RV002/RV005).
-fn check_conv_masks(name: &str, conv: &Conv2d, report: &mut Report) {
+/// The verdict on every one of the 512 masks, so the per-chunk walk is
+/// a table lookup.
+fn legality_table() -> [Legality; 512] {
+    let mut table = [Legality::BadCount; 512];
+    for (bits, verdict) in table.iter_mut().enumerate() {
+        let p = Pattern::from_bits(bits as u16).expect("bits < 512");
+        if (MIN_ENTRIES..=MAX_ENTRIES).contains(&(p.weight_count() as u32)) {
+            *verdict = if p.is_connected() {
+                Legality::Legal
+            } else {
+                Legality::Disconnected
+            };
+        }
+    }
+    table
+}
+
+/// A set of 9-bit pattern masks as a 512-bit table.
+#[derive(Clone, Copy, Default)]
+struct MaskSet([u64; 8]);
+
+impl MaskSet {
+    fn insert(&mut self, bits: u16) {
+        self.0[usize::from(bits) / 64] |= 1 << (bits % 64);
+    }
+
+    fn contains(&self, bits: u16) -> bool {
+        self.0[usize::from(bits) / 64] & (1 << (bits % 64)) != 0
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0 == [0; 8]
+    }
+
+    /// Members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = u16> + '_ {
+        (0..512).filter(|&bits| self.contains(bits))
+    }
+}
+
+/// One conv layer's findings: located, capped per code (a desynced
+/// 7 M-weight model would otherwise format one string per weight), and
+/// formatted only when kept.
+struct LayerFindings<'a> {
+    report: &'a mut Report,
+    loc: String,
+    cap: FindingCap,
+}
+
+impl LayerFindings<'_> {
+    fn push(&mut self, code: &'static str, message: impl FnOnce() -> String) {
+        if self.cap.admit(code) {
+            self.report
+                .push(Diagnostic::error(code, self.loc.clone(), message()));
+        }
+    }
+
+    fn finish(self) {
+        for (code, message) in self.cap.withheld() {
+            self.report
+                .push(Diagnostic::error(code, self.loc.clone(), message));
+        }
+    }
+}
+
+/// Checks one conv node in a single pass over its mask and weights:
+/// mask/weight agreement (RV007), per-chunk pattern legality
+/// (RV001/RV002) and the 1×1 tail (RV005). Returns the distinct pattern
+/// masks the layer uses — kernels for 3×3 layers, Algorithm 3 chunks
+/// for 1×1 layers — or `None` for unmasked, other-kernel or
+/// mis-shaped layers.
+fn check_conv_masks(
+    name: &str,
+    conv: &Conv2d,
+    legality: &[Legality; 512],
+    report: &mut Report,
+) -> Option<MaskSet> {
     let param = conv.weight();
-    let Some(mask) = param.mask() else {
-        return; // dense layer (protected, stem, or non-prunable kernel)
+    // Dense layers (protected, stem, non-prunable kernel) have no mask.
+    let mask = param.mask()?;
+    let mut out = LayerFindings {
+        report,
+        loc: format!("conv {name}"),
+        cap: FindingCap::default(),
     };
-    let loc = format!("conv {name}");
     if mask.shape() != param.value.shape() {
-        report.push(Diagnostic::error(
-            "RV007",
-            loc,
+        out.push("RV007", || {
             format!(
                 "mask shape {:?} does not match weight shape {:?}",
                 mask.shape(),
                 param.value.shape()
-            ),
-        ));
-        return; // chunk-level checks would misalign
+            )
+        });
+        return None; // chunk-level checks would misalign
     }
     let w = param.value.as_slice();
     let m = mask.as_slice();
-    for (i, (&wv, &mv)) in w.iter().zip(m.iter()).enumerate() {
-        if mv == 0.0 && wv != 0.0 {
-            report.push(Diagnostic::error(
-                "RV007",
-                loc.clone(),
-                format!("weight {i} is {wv} but its mask entry is 0 (mask/weight desync)"),
-            ));
+    let desync = |out: &mut LayerFindings, at: usize| {
+        if m[at] == 0.0 && w[at] != 0.0 {
+            out.push("RV007", || {
+                format!(
+                    "weight {at} is {} but its mask entry is 0 (mask/weight desync)",
+                    w[at]
+                )
+            });
         }
-    }
-
-    match conv.kernel_size() {
-        3 => check_pattern_chunks(&loc, m, "kernel", report),
-        1 => {
-            // Algorithm 3: full 9-chunks behave like 3×3 kernels; the
-            // tail (numel % 9 trailing weights) must be pruned away.
-            let full = (m.len() / 9) * 9;
-            check_pattern_chunks(&loc, &m[..full], "chunk", report);
-            for (j, (&mv, &wv)) in m[full..].iter().zip(w[full..].iter()).enumerate() {
-                if mv != 0.0 || wv != 0.0 {
-                    report.push(Diagnostic::error(
-                        "RV005",
-                        loc.clone(),
-                        format!(
-                            "1x1 tail weight {} (mask {mv}, value {wv}) survives; \
-                             Algorithm 3 prunes the {} trailing weights past the last \
-                             full 9-chunk",
-                            full + j,
-                            m.len() - full
-                        ),
-                    ));
-                }
+    };
+    // 3×3: every kernel is a chunk. 1×1 (Algorithm 3): full 9-chunks
+    // behave like 3×3 kernels; the tail must be pruned away. Other
+    // kernel sizes have no pattern rules.
+    let (unit, full) = match conv.kernel_size() {
+        3 => ("kernel", m.len()),
+        1 => ("chunk", m.len() / 9 * 9),
+        _ => ("", 0),
+    };
+    let mut used = MaskSet::default();
+    let mut counts = 0u16; // bit `n` set: some chunk keeps `n` weights
+    let chunks = m[..full].chunks_exact(9).zip(w[..full].chunks_exact(9));
+    for (idx, (chunk, weights)) in chunks.enumerate() {
+        let stray = |(&mv, &wv): (&f32, &f32)| mv == 0.0 && wv != 0.0;
+        if chunk.iter().zip(weights).any(stray) {
+            for at in idx * 9..idx * 9 + 9 {
+                desync(&mut out, at);
             }
         }
-        _ => {}
-    }
-}
-
-/// RV001/RV002 over a run of 9-weight mask chunks.
-fn check_pattern_chunks(loc: &str, mask: &[f32], unit: &str, report: &mut Report) {
-    let mut counts: BTreeSet<u32> = BTreeSet::new();
-    for (idx, chunk) in mask.chunks_exact(9).enumerate() {
         let bits = chunk_bits(chunk);
+        used.insert(bits);
         let entries = bits.count_ones();
-        if !(MIN_ENTRIES..=MAX_ENTRIES).contains(&entries) {
-            report.push(Diagnostic::error(
-                "RV001",
-                loc.to_string(),
+        match legality[usize::from(bits)] {
+            Legality::Legal => counts |= 1 << entries,
+            Legality::BadCount => out.push("RV001", || {
                 format!(
                     "{unit} {idx} keeps {entries} weights; patterns must keep \
                      {MIN_ENTRIES}..={MAX_ENTRIES}"
-                ),
-            ));
-            continue; // connectivity is meaningless for illegal counts
-        }
-        counts.insert(entries);
-        match Pattern::from_bits(bits) {
-            Ok(p) if !p.is_connected() => report.push(Diagnostic::error(
-                "RV002",
-                loc.to_string(),
-                format!("{unit} {idx} pattern {bits:#011b} is not 4-adjacent connected"),
-            )),
-            Ok(_) => {}
-            Err(e) => report.push(Diagnostic::error(
-                "RV002",
-                loc.to_string(),
-                format!("{unit} {idx} bitmask {bits:#x} is not a valid pattern: {e}"),
-            )),
+                )
+            }),
+            Legality::Disconnected => {
+                counts |= 1 << entries;
+                out.push("RV002", || {
+                    format!("{unit} {idx} pattern {bits:#011b} is not 4-adjacent connected")
+                });
+            }
         }
     }
-    if counts.len() > 1 {
-        report.push(Diagnostic::error(
-            "RV001",
-            loc.to_string(),
+    if counts.count_ones() > 1 {
+        let counts: BTreeSet<u32> = (0..16).filter(|n| counts & (1 << n) != 0).collect();
+        out.push("RV001", || {
             format!(
                 "mixed entry counts {counts:?} in one layer; a pattern set has a \
                  single entry count"
-            ),
-        ));
+            )
+        });
     }
+    // Past the chunks: the Algorithm 3 tail of a 1×1 layer, or all of
+    // a layer with no pattern rules.
+    let is_tail = conv.kernel_size() == 1;
+    for at in full..m.len() {
+        desync(&mut out, at);
+        if is_tail && (m[at] != 0.0 || w[at] != 0.0) {
+            out.push("RV005", || {
+                format!(
+                    "1x1 tail weight {at} (mask {}, value {}) survives; \
+                     Algorithm 3 prunes the {} trailing weights past the last \
+                     full 9-chunk",
+                    m[at],
+                    w[at],
+                    m.len() - full
+                )
+            });
+        }
+    }
+    out.finish();
+    matches!(conv.kernel_size(), 1 | 3).then_some(used)
 }
 
 /// Checks Algorithm 1's output: groups partition the convs (RV003) and
-/// children use a subset of the parent's patterns (RV004).
-fn check_groups(graph: &Graph, report: &mut Report) {
+/// children use a subset of the parent's patterns (RV004). `patterns`
+/// holds each masked 1×1/3×3 conv's pattern set, as
+/// [`check_conv_masks`] read it.
+fn check_groups(graph: &Graph, patterns: &BTreeMap<NodeId, MaskSet>, report: &mut Report) {
     let groups = group_layers(graph);
     let convs: BTreeSet<NodeId> = graph.conv_ids().into_iter().collect();
     let mut covered: BTreeSet<NodeId> = BTreeSet::new();
@@ -200,11 +269,10 @@ fn check_groups(graph: &Graph, report: &mut Report) {
     }
 
     for (gi, group) in groups.groups().iter().enumerate() {
-        let Some(parent_conv) = graph.conv(group.parent) else {
-            continue; // already reported as RV003
-        };
-        let Some(parent_bits) = layer_pattern_bits(parent_conv) else {
-            continue; // dense parent: children select from the full set
+        // A non-conv parent was already reported as RV003; a dense
+        // parent's children select from the full set.
+        let Some(parent_bits) = patterns.get(&group.parent) else {
+            continue;
         };
         if parent_bits.is_empty() {
             // A 1×1 parent smaller than one 9-chunk has no pattern
@@ -212,10 +280,10 @@ fn check_groups(graph: &Graph, report: &mut Report) {
             continue;
         }
         for &child in &group.children {
-            let Some(child_bits) = graph.conv(child).and_then(layer_pattern_bits) else {
+            let Some(child_bits) = patterns.get(&child) else {
                 continue;
             };
-            for bits in child_bits.difference(&parent_bits) {
+            for bits in child_bits.iter().filter(|&b| !parent_bits.contains(b)) {
                 report.push(Diagnostic::error(
                     "RV004",
                     format!(
@@ -247,12 +315,17 @@ pub fn check_model(graph: &Graph, input_shape: &[usize]) -> Report {
             format!("shape inference failed: {e}"),
         ));
     }
+    let legality = legality_table();
+    let mut patterns = BTreeMap::new();
     for id in graph.conv_ids() {
         if let Some(conv) = graph.conv(id) {
-            check_conv_masks(&graph.node(id).name, conv, &mut report);
+            let used = check_conv_masks(&graph.node(id).name, conv, &legality, &mut report);
+            if let Some(used) = used {
+                patterns.insert(id, used);
+            }
         }
     }
-    check_groups(graph, &mut report);
+    check_groups(graph, &patterns, &mut report);
     report
 }
 
@@ -304,6 +377,40 @@ mod tests {
         conv.weight_mut().value.as_mut_slice()[zero_at] = 0.5;
         let report = check_model(&m.graph, &[1, 3, 64, 64]);
         assert!(report.has_code("RV007"), "{}", report.render());
+    }
+
+    #[test]
+    fn a_fully_desynced_layer_reports_a_screenful_not_a_string_per_weight() {
+        let mut m = rtoss_models::yolov5s_twin(4, 2, 9).unwrap();
+        RTossPruner::new(EntryPattern::Two)
+            .prune_graph(&mut m.graph)
+            .unwrap();
+        // Resurrect every pruned weight of every masked layer and blank
+        // every mask: RV007 per weight, RV001 (0 entries) per chunk.
+        let mut layers = 0;
+        for id in m.graph.conv_ids() {
+            let param = m.graph.conv_mut(id).unwrap().weight_mut();
+            let Some(mask) = param.mask() else { continue };
+            let blank = rtoss_tensor::Tensor::zeros(mask.shape());
+            param.set_mask(blank).unwrap();
+            param.value.fill(0.5);
+            layers += 1;
+        }
+        let report = check_model(&m.graph, &[1, 3, 64, 64]);
+        assert!(report.has_code("RV007") && report.has_code("RV001"));
+        for code in ["RV007", "RV001", "RV005"] {
+            let n = report.diagnostics.iter().filter(|d| d.code == code).count();
+            assert!(
+                n <= layers * (FindingCap::LIMIT + 2),
+                "{n} {code} findings over {layers} layers"
+            );
+        }
+        let more = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "RV007" && d.message.contains("more RV007"))
+            .count();
+        assert!(more > 0, "{}", report.render());
     }
 
     #[test]

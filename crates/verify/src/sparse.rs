@@ -138,10 +138,10 @@ mod tests {
             3,
             1,
             1,
-            vec![rtoss_sparse::PatternGroup {
-                offsets: vec![(1, 1), (0, 0)], // unsorted
-                kernels: vec![(0, 0, vec![1.0, 2.0])],
-            }],
+            vec![rtoss_sparse::PatternGroup::from_kernels(
+                vec![(1, 1), (0, 0)], // unsorted
+                &[(0, 0, &[1.0, 2.0])],
+            )],
         );
         let ds = check_pattern_layer("bad", &pc);
         assert!(ds.iter().any(|d| d.code == "RV010"), "{ds:?}");
