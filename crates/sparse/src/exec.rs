@@ -21,7 +21,7 @@
 //!   driver bit-identical to this.
 //!
 //! [`conv2d_pattern_sparse_with`] and [`conv2d_unstructured_with`] are
-//! the `Tensor`-returning entries for the two storage formats; both
+//! the `Tensor`-returning entries for the two views of a pack; both
 //! hand their layer's pack to the driver.
 //!
 //! # Canonical accumulation order

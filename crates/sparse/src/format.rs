@@ -1,16 +1,17 @@
 //! Compressed storage formats for pruned convolution weights.
 
-use crate::pack::Pack;
+use crate::pack::{narrow, Pack, View};
 use rtoss_tensor::Tensor;
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
 
 /// Error produced when building a sparse format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SparseFormatError {
-    /// The dense weight tensor has the wrong rank or spatial extent.
+    /// The dense weight tensor has the wrong rank or spatial extent, or
+    /// is larger than a pack can index.
     BadShape {
         /// Offending shape.
         shape: Vec<usize>,
@@ -23,7 +24,7 @@ impl fmt::Display for SparseFormatError {
             SparseFormatError::BadShape { shape } => {
                 write!(
                     f,
-                    "expected rank-4 square-kernel conv weights, got {shape:?}"
+                    "expected rank-4 square-kernel conv weights (extent <= 256), got {shape:?}"
                 )
             }
         }
@@ -105,19 +106,19 @@ impl FindingCap {
 /// A `validate()` result under construction: capped per code, messages
 /// formatted only for findings that are kept.
 #[derive(Default)]
-struct Violations {
+pub(crate) struct Violations {
     out: Vec<FormatViolation>,
     cap: FindingCap,
 }
 
 impl Violations {
-    fn push(&mut self, code: &'static str, message: impl FnOnce() -> String) {
+    pub(crate) fn push(&mut self, code: &'static str, message: impl FnOnce() -> String) {
         if self.cap.admit(code) {
             self.out.push(FormatViolation::new(code, message()));
         }
     }
 
-    fn finish(mut self) -> Vec<FormatViolation> {
+    pub(crate) fn finish(mut self) -> Vec<FormatViolation> {
         for (code, message) in self.cap.withheld() {
             self.out.push(FormatViolation::new(code, message));
         }
@@ -125,9 +126,11 @@ impl Violations {
     }
 }
 
-/// One group of kernels sharing the same non-zero pattern, stored as
-/// flat arrays: kernel `i` is `coords[i]` and owns
-/// `values[i * offsets.len()..][..offsets.len()]`.
+/// One group of kernels sharing the same non-zero pattern, as flat
+/// arrays: kernel `i` is `coords[i]` and owns
+/// `values[i * offsets.len()..][..offsets.len()]`. What
+/// [`Pack::groups`] derives and [`PatternCompressedConv::from_parts`]
+/// takes; no layer stores one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PatternGroup {
     /// The shared non-zero cells as `(ky, kx)` offsets, row-major.
@@ -146,7 +149,6 @@ impl PatternGroup {
     /// checked: a kernel with the wrong value count makes the group
     /// ragged, which `validate()` reports as RV011.
     pub fn from_kernels(offsets: Vec<(usize, usize)>, kernels: &[(usize, usize, &[f32])]) -> Self {
-        let narrow = |c: usize| u32::try_from(c).unwrap_or(u32::MAX);
         PatternGroup {
             offsets,
             coords: kernels
@@ -174,133 +176,30 @@ impl PatternGroup {
     }
 }
 
-/// A pruned conv layer stored grouped by kernel pattern.
+/// A pruned conv layer in the pattern view of its [`Pack`]: kernels
+/// with the same non-zero pattern share one offset slice.
 ///
-/// Kernels that are entirely zero are dropped (they cost nothing at
-/// inference — the "skipping" the paper's §II.B describes).
+/// A typed view that owns nothing but the pack and dereferences to it:
+/// geometry, `stored_weights()`, `compression_ratio()`, `to_dense()`,
+/// and the derived `groups()` / `pattern_count()` are the pack's own.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PatternCompressedConv {
-    out_ch: usize,
-    in_ch: usize,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-    groups: Vec<PatternGroup>,
-    dense_weights: usize,
-    stored_weights: usize,
-    /// Kernel-major execution layout, derived from `groups` at
-    /// construction so no forward call pays the indexing cost.
     pack: Pack,
 }
 
 impl PatternCompressedConv {
     /// Builds the compressed form from a (masked) dense weight
-    /// `(O, I, k, k)`. Zero cells are dropped; kernels are grouped by
-    /// their surviving-cell pattern.
+    /// `(O, I, k, k)` in one walk (see [`Pack`]). Zero cells are
+    /// dropped, fully zero kernels skipped, and each distinct pattern's
+    /// offsets stored once.
     ///
     /// # Errors
     ///
     /// Returns [`SparseFormatError::BadShape`] if the weight is not
-    /// rank 4 with square kernels.
+    /// rank 4 with square kernels of extent at most 256.
     pub fn from_dense(w: &Tensor, stride: usize, pad: usize) -> Result<Self, SparseFormatError> {
-        let shape = w.shape();
-        if shape.len() != 4 || shape[2] != shape[3] {
-            return Err(SparseFormatError::BadShape {
-                shape: shape.to_vec(),
-            });
-        }
-        let (o, i, k) = (shape[0], shape[1], shape[2]);
-        let kk = k * k;
-        // Group kernels by their non-zero bitmask; ascending-mask group
-        // order, row-major kernel order inside a group. (`max(1)`: an
-        // empty weight has no chunks, whatever the chunk length.)
-        let mut by_pattern: BTreeMap<u64, PatternGroup> = BTreeMap::new();
-        for (oc, row) in w.as_slice().chunks_exact((i * kk).max(1)).enumerate() {
-            for (ic, cells) in row.chunks_exact(kk.max(1)).enumerate() {
-                let mut bits = 0u64;
-                for (ci, &v) in cells.iter().enumerate() {
-                    bits |= u64::from(v != 0.0) << ci;
-                }
-                if bits == 0 {
-                    continue; // fully pruned kernel: skipped entirely
-                }
-                let group = by_pattern.entry(bits).or_insert_with(|| PatternGroup {
-                    offsets: (0..kk)
-                        .filter(|ci| bits & (1 << ci) != 0)
-                        .map(|ci| (ci / k, ci % k))
-                        .collect(),
-                    coords: Vec::new(),
-                    values: Vec::new(),
-                });
-                group.coords.push((oc as u32, ic as u32));
-                group
-                    .values
-                    .extend(cells.iter().copied().filter(|&v| v != 0.0));
-            }
-        }
-        let groups: Vec<PatternGroup> = by_pattern.into_values().collect();
-        let stored = groups.iter().map(|g| g.values.len()).sum();
-        let pack = Pack::from_groups(o, i, k, stride, pad, &groups);
-        Ok(PatternCompressedConv {
-            out_ch: o,
-            in_ch: i,
-            kernel: k,
-            stride,
-            pad,
-            groups,
-            dense_weights: o * i * kk,
-            stored_weights: stored,
-            pack,
-        })
-    }
-
-    /// Output channels.
-    pub fn out_channels(&self) -> usize {
-        self.out_ch
-    }
-
-    /// Input channels.
-    pub fn in_channels(&self) -> usize {
-        self.in_ch
-    }
-
-    /// Kernel extent.
-    pub fn kernel_size(&self) -> usize {
-        self.kernel
-    }
-
-    /// Stride.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Padding.
-    pub fn padding(&self) -> usize {
-        self.pad
-    }
-
-    /// The pattern groups.
-    pub fn groups(&self) -> &[PatternGroup] {
-        &self.groups
-    }
-
-    /// Number of distinct patterns in use.
-    pub fn pattern_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Stored (non-zero) weight count.
-    pub fn stored_weights(&self) -> usize {
-        self.stored_weights
-    }
-
-    /// Dense-to-stored weight ratio (the paper's compression metric).
-    pub fn compression_ratio(&self) -> f64 {
-        if self.stored_weights == 0 {
-            f64::INFINITY
-        } else {
-            self.dense_weights as f64 / self.stored_weights as f64
-        }
+        let pack = Pack::from_dense(w, stride, pad, View::Pattern)?;
+        Ok(PatternCompressedConv { pack })
     }
 
     /// Assembles a compressed layer directly from pattern groups
@@ -309,8 +208,10 @@ impl PatternCompressedConv {
     /// This is the deserialization/testing escape hatch paired with
     /// [`PatternCompressedConv::validate`]: [`from_dense`] is valid by
     /// construction, but artifacts loaded from outside the process (or
-    /// corruption fixtures in tests) are not. Always run `validate()`
-    /// on a layer built this way before executing it.
+    /// corruption fixtures in tests) are not. The groups are lowered
+    /// into the pack with every defect they carry kept visible to
+    /// `validate()`; always run it on a layer built this way before
+    /// executing it.
     ///
     /// [`from_dense`]: PatternCompressedConv::from_dense
     pub fn from_parts(
@@ -321,168 +222,52 @@ impl PatternCompressedConv {
         pad: usize,
         groups: Vec<PatternGroup>,
     ) -> Self {
-        let stored = groups.iter().map(|g| g.values.len()).sum();
         let pack = Pack::from_groups(out_ch, in_ch, kernel, stride, pad, &groups);
-        PatternCompressedConv {
-            out_ch,
-            in_ch,
-            kernel,
-            stride,
-            pad,
-            groups,
-            dense_weights: out_ch * in_ch * kernel * kernel,
-            stored_weights: stored,
-            pack,
-        }
+        PatternCompressedConv { pack }
     }
 
-    /// The kernel-major execution pack derived from the groups at
-    /// construction. RV090 proves it reconstructs `to_dense()`
-    /// bit-exactly.
+    /// The pack: the layer's one stored form, and what executes.
     pub fn pack(&self) -> &Pack {
         &self.pack
     }
 
-    /// Checks every structural invariant the sparse executor relies on,
-    /// returning one [`FormatViolation`] per breach (empty = valid), at
-    /// most [`FindingCap::LIMIT`] per code plus one "… and N more".
+    /// Checks every structural invariant the sparse executor relies on
+    /// — on the pack itself — returning one [`FormatViolation`] per
+    /// breach (empty = valid), at most [`FindingCap::LIMIT`] per code
+    /// plus one "… and N more".
     ///
     /// Invariants, with their RV0xx codes:
-    /// - **RV010** — group offsets are non-empty, strictly increasing in
-    ///   row-major `(ky, kx)` order, in-bounds for the kernel extent,
-    ///   and no two groups share the same pattern;
-    /// - **RV011** — each group holds exactly one value per offset per
-    ///   kernel (`values.len() == coords.len() * offsets.len()`), and
-    ///   kernel coordinates `(oc, ic)` are in-bounds and appear at most
-    ///   once across all groups;
-    /// - **RV012** — `stored_weights` equals the values actually held
-    ///   and no stored value is zero (zeros must be *dropped*, or the
-    ///   compression ratio lies).
+    /// - **RV010** — offset patterns are non-empty, strictly increasing
+    ///   in row-major `(ky, kx)` order, in-bounds for the kernel
+    ///   extent, and no two stored patterns are the same;
+    /// - **RV011** — kernel coordinates `(oc, ic)` are in-bounds and
+    ///   appear at most once, and every kernel holds exactly one value
+    ///   per offset of its pattern (no ragged group);
+    /// - **RV012** — no stored value is zero (zeros must be *dropped*,
+    ///   or the compression ratio lies).
     pub fn validate(&self) -> Vec<FormatViolation> {
-        let mut out = Violations::default();
-        let k = self.kernel;
-        let mut seen_patterns = std::collections::BTreeSet::new();
-        // One bit per (oc, ic) of the layer; out-of-range coordinates
-        // are their own RV011 and never index it.
-        let mut seen_kernels = vec![0u64; (self.out_ch * self.in_ch).div_ceil(64)];
-        let mut stored = 0usize;
-        for (gi, g) in self.groups.iter().enumerate() {
-            if g.offsets.is_empty() {
-                out.push("RV010", || format!("group {gi}: empty offset pattern"));
-            }
-            for w in g.offsets.windows(2) {
-                let (a, b) = (w[0], w[1]);
-                if a.0 * k + a.1 >= b.0 * k + b.1 {
-                    out.push("RV010", || {
-                        format!("group {gi}: offsets not strictly row-major sorted at {a:?},{b:?}")
-                    });
-                }
-            }
-            for &(ky, kx) in &g.offsets {
-                if ky >= k || kx >= k {
-                    out.push("RV010", || {
-                        format!("group {gi}: offset ({ky},{kx}) out of bounds for kernel {k}")
-                    });
-                }
-            }
-            if !seen_patterns.insert(&g.offsets) {
-                out.push("RV010", || {
-                    format!("group {gi}: duplicate pattern {:?}", g.offsets)
-                });
-            }
-            if g.values.len() != g.coords.len() * g.offsets.len() {
-                out.push("RV011", || {
-                    format!(
-                        "group {gi}: {} values for {} kernels of {} offsets",
-                        g.values.len(),
-                        g.coords.len(),
-                        g.offsets.len()
-                    )
-                });
-            }
-            for &(oc, ic) in &g.coords {
-                let (oc, ic) = (oc as usize, ic as usize);
-                if oc >= self.out_ch || ic >= self.in_ch {
-                    out.push("RV011", || {
-                        format!(
-                            "group {gi}: kernel ({oc},{ic}) out of bounds for {}x{} layer",
-                            self.out_ch, self.in_ch
-                        )
-                    });
-                    continue;
-                }
-                let at = oc * self.in_ch + ic;
-                let bit = 1u64 << (at % 64);
-                if seen_kernels[at / 64] & bit != 0 {
-                    out.push("RV011", || {
-                        format!("kernel ({oc},{ic}) stored more than once")
-                    });
-                }
-                seen_kernels[at / 64] |= bit;
-            }
-            if g.values.contains(&0.0) {
-                for (oc, ic, values) in g.kernels() {
-                    if values.contains(&0.0) {
-                        out.push("RV012", || {
-                            format!("group {gi}: kernel ({oc},{ic}) stores an explicit zero")
-                        });
-                    }
-                }
-            }
-            stored += g.values.len();
-        }
-        if stored != self.stored_weights {
-            out.push("RV012", || {
-                format!(
-                    "stored_weights bookkeeping says {} but {} values are held",
-                    self.stored_weights, stored
-                )
-            });
-        }
-        if self.dense_weights != self.out_ch * self.in_ch * k * k {
-            out.push("RV012", || {
-                format!(
-                    "dense_weights bookkeeping says {} for a {}x{}x{k}x{k} layer",
-                    self.dense_weights, self.out_ch, self.in_ch
-                )
-            });
-        }
-        out.finish()
-    }
-
-    /// Reconstructs the dense weight tensor (for verification).
-    pub fn to_dense(&self) -> Tensor {
-        let k = self.kernel;
-        let mut w = Tensor::zeros(&[self.out_ch, self.in_ch, k, k]);
-        let wd = w.as_mut_slice();
-        for g in &self.groups {
-            for (oc, ic, values) in g.kernels() {
-                let base = (oc * self.in_ch + ic) * k * k;
-                for (&(ky, kx), &v) in g.offsets.iter().zip(values.iter()) {
-                    wd[base + ky * k + kx] = v;
-                }
-            }
-        }
-        w
+        self.pack.violations(View::Pattern)
     }
 }
 
-/// A pruned conv layer stored as per-weight COO entries — the
-/// *unstructured* storage the paper contrasts against pattern grouping
-/// (fig6's baseline). It executes through the same [`Pack`] driver as
-/// the pattern form; only the storage differs.
+impl Deref for PatternCompressedConv {
+    type Target = Pack;
+
+    fn deref(&self) -> &Pack {
+        &self.pack
+    }
+}
+
+/// A pruned conv layer in the COO view of its [`Pack`]: every `(oc,
+/// ic)` run owns its offsets — the *unstructured* storage the paper
+/// contrasts against pattern grouping (fig6's baseline). It executes
+/// through the same driver as the pattern view.
+///
+/// A typed view that owns nothing but the pack and dereferences to it,
+/// like [`PatternCompressedConv`]; `entries()` derives the per-weight
+/// tuples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnstructuredSparseConv {
-    out_ch: usize,
-    in_ch: usize,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-    /// `(oc, ic, ky, kx, value)` for every surviving weight.
-    entries: Vec<(usize, usize, usize, usize, f32)>,
-    dense_weights: usize,
-    /// Per-output-channel run layout, derived from `entries` at
-    /// construction (see [`Pack::from_coo`]).
     pack: Pack,
 }
 
@@ -492,69 +277,16 @@ impl UnstructuredSparseConv {
     /// # Errors
     ///
     /// Returns [`SparseFormatError::BadShape`] if the weight is not
-    /// rank 4 with square kernels.
+    /// rank 4 with square kernels of extent at most 256.
     pub fn from_dense(w: &Tensor, stride: usize, pad: usize) -> Result<Self, SparseFormatError> {
-        let shape = w.shape();
-        if shape.len() != 4 || shape[2] != shape[3] {
-            return Err(SparseFormatError::BadShape {
-                shape: shape.to_vec(),
-            });
-        }
-        let (o, i, k) = (shape[0], shape[1], shape[2]);
-        let wd = w.as_slice();
-        let mut entries = Vec::with_capacity(wd.len() - w.count_zeros());
-        for (at, &v) in wd.iter().enumerate() {
-            if v != 0.0 {
-                let (kernel, cell) = (at / (k * k), at % (k * k));
-                entries.push((kernel / i, kernel % i, cell / k, cell % k, v));
-            }
-        }
-        let pack = Pack::from_coo(o, i, k, stride, pad, &entries);
-        Ok(UnstructuredSparseConv {
-            out_ch: o,
-            in_ch: i,
-            kernel: k,
-            stride,
-            pad,
-            entries,
-            dense_weights: o * i * k * k,
-            pack,
-        })
+        let pack = Pack::from_dense(w, stride, pad, View::Coo)?;
+        Ok(UnstructuredSparseConv { pack })
     }
 
-    /// Output channels.
-    pub fn out_channels(&self) -> usize {
-        self.out_ch
-    }
-
-    /// Input channels.
-    pub fn in_channels(&self) -> usize {
-        self.in_ch
-    }
-
-    /// Kernel extent.
-    pub fn kernel_size(&self) -> usize {
-        self.kernel
-    }
-
-    /// Stride.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Padding.
-    pub fn padding(&self) -> usize {
-        self.pad
-    }
-
-    /// The COO entries.
-    pub fn entries(&self) -> &[(usize, usize, usize, usize, f32)] {
-        &self.entries
-    }
-
-    /// Assembles a COO layer directly from entries *without* checking
-    /// any invariant — the deserialization/testing escape hatch paired
-    /// with [`UnstructuredSparseConv::validate`].
+    /// Assembles a COO layer directly from `(oc, ic, ky, kx, value)`
+    /// entries *without* checking any invariant — the
+    /// deserialization/testing escape hatch paired with
+    /// [`UnstructuredSparseConv::validate`].
     pub fn from_entries(
         out_ch: usize,
         in_ch: usize,
@@ -564,93 +296,36 @@ impl UnstructuredSparseConv {
         entries: Vec<(usize, usize, usize, usize, f32)>,
     ) -> Self {
         let pack = Pack::from_coo(out_ch, in_ch, kernel, stride, pad, &entries);
-        UnstructuredSparseConv {
-            out_ch,
-            in_ch,
-            kernel,
-            stride,
-            pad,
-            entries,
-            dense_weights: out_ch * in_ch * kernel * kernel,
-            pack,
-        }
+        UnstructuredSparseConv { pack }
     }
 
-    /// The run-layout execution pack derived from the entries at
-    /// construction. RV090 proves it reconstructs `to_dense()`
-    /// bit-exactly.
+    pub(crate) fn from_pack(pack: Pack) -> Self {
+        UnstructuredSparseConv { pack }
+    }
+
+    /// The pack: the layer's one stored form, and what executes.
     pub fn pack(&self) -> &Pack {
         &self.pack
     }
 
-    /// Checks the COO invariants the unstructured executor relies on,
-    /// returning one [`FormatViolation`] per breach (empty = valid), at
-    /// most [`FindingCap::LIMIT`] plus one "… and N more".
+    /// Checks the COO invariants the unstructured executor relies on —
+    /// on the pack itself — returning one [`FormatViolation`] per
+    /// breach (empty = valid), at most [`FindingCap::LIMIT`] plus one
+    /// "… and N more".
     ///
     /// All violations carry code **RV013**: entries must be in-bounds,
     /// strictly sorted in `(oc, ic, ky, kx)` lexicographic order (which
     /// also rules out duplicates), and must not store explicit zeros.
     pub fn validate(&self) -> Vec<FormatViolation> {
-        let mut out = Violations::default();
-        let k = self.kernel;
-        for &(oc, ic, ky, kx, v) in &self.entries {
-            if oc >= self.out_ch || ic >= self.in_ch || ky >= k || kx >= k {
-                out.push("RV013", || {
-                    format!(
-                        "entry ({oc},{ic},{ky},{kx}) out of bounds for {}x{}x{k}x{k} layer",
-                        self.out_ch, self.in_ch
-                    )
-                });
-            }
-            if v == 0.0 {
-                out.push("RV013", || {
-                    format!("entry ({oc},{ic},{ky},{kx}) stores an explicit zero")
-                });
-            }
-        }
-        for w in self.entries.windows(2) {
-            let a = (w[0].0, w[0].1, w[0].2, w[0].3);
-            let b = (w[1].0, w[1].1, w[1].2, w[1].3);
-            if a >= b {
-                out.push("RV013", || {
-                    format!("entries not strictly sorted at {a:?},{b:?}")
-                });
-            }
-        }
-        if self.dense_weights != self.out_ch * self.in_ch * k * k {
-            out.push("RV013", || {
-                format!(
-                    "dense_weights bookkeeping says {} for a {}x{}x{k}x{k} layer",
-                    self.dense_weights, self.out_ch, self.in_ch
-                )
-            });
-        }
-        out.finish()
+        self.pack.violations(View::Coo)
     }
+}
 
-    /// Reconstructs the dense weight tensor (for verification).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-bounds entries; run
-    /// [`UnstructuredSparseConv::validate`] first on untrusted layers.
-    pub fn to_dense(&self) -> Tensor {
-        let k = self.kernel;
-        let mut w = Tensor::zeros(&[self.out_ch, self.in_ch, k, k]);
-        let wd = w.as_mut_slice();
-        for &(oc, ic, ky, kx, v) in &self.entries {
-            wd[((oc * self.in_ch + ic) * k + ky) * k + kx] = v;
-        }
-        w
-    }
+impl Deref for UnstructuredSparseConv {
+    type Target = Pack;
 
-    /// Dense-to-stored weight ratio.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.entries.is_empty() {
-            f64::INFINITY
-        } else {
-            self.dense_weights as f64 / self.entries.len() as f64
-        }
+    fn deref(&self) -> &Pack {
+        &self.pack
     }
 }
 
@@ -716,7 +391,7 @@ mod tests {
         let w = pruned_weight(3, 5);
         let un = UnstructuredSparseConv::from_dense(&w, 1, 1).unwrap();
         assert_eq!(un.entries().len(), w.numel() - w.count_zeros());
-        for &(oc, ic, ky, kx, v) in un.entries() {
+        for (oc, ic, ky, kx, v) in un.entries() {
             assert_eq!(w.at(&[oc, ic, ky, kx]), v);
         }
     }
@@ -728,6 +403,84 @@ mod tests {
         assert!(UnstructuredSparseConv::from_dense(&w, 1, 1).is_err());
         let w = Tensor::zeros(&[2, 2, 3]);
         assert!(PatternCompressedConv::from_dense(&w, 1, 1).is_err());
+    }
+
+    #[test]
+    fn kernels_wider_than_64_cells_round_trip() {
+        // Cells 64 and 81 of a 9x9 kernel: a 64-bit mask key aliased
+        // cell 64 onto cell 0 (one pattern, RV011, lossy round trip) or
+        // overflowed its shift.
+        let mut w = Tensor::zeros(&[1, 2, 9, 9]);
+        w.as_mut_slice()[64] = 1.5;
+        w.as_mut_slice()[81] = -2.5;
+        let pc = PatternCompressedConv::from_dense(&w, 1, 4).unwrap();
+        assert_eq!(pc.pattern_count(), 2);
+        assert!(pc.validate().is_empty(), "{:?}", pc.validate());
+        assert_eq!(pc.to_dense(), w);
+        let un = UnstructuredSparseConv::from_dense(&w, 1, 4).unwrap();
+        assert!(un.validate().is_empty(), "{:?}", un.validate());
+        assert_eq!(un.to_dense(), w);
+        // 256 is the widest extent a (u8, u8) tap addresses.
+        let mut w = Tensor::zeros(&[1, 1, 256, 256]);
+        *w.as_mut_slice().last_mut().unwrap() = 1.0;
+        let pc = PatternCompressedConv::from_dense(&w, 1, 0).unwrap();
+        assert!(pc.validate().is_empty());
+        assert_eq!(pc.to_dense(), w);
+        let w = Tensor::zeros(&[1, 1, 257, 257]);
+        assert!(PatternCompressedConv::from_dense(&w, 1, 0).is_err());
+        assert!(UnstructuredSparseConv::from_dense(&w, 1, 0).is_err());
+    }
+
+    #[test]
+    fn to_dense_is_total_on_out_of_range_layers() {
+        let codes = |vs: Vec<FormatViolation>| vs.iter().map(|v| v.code).collect::<Vec<_>>();
+        // oc 7 and ic 5 do not exist in a 2x2 layer; (4, 4) is outside
+        // a 3x3 kernel. Reconstruction keeps what fits and returns.
+        let pc = PatternCompressedConv::from_parts(
+            2,
+            2,
+            3,
+            1,
+            1,
+            vec![PatternGroup::from_kernels(
+                vec![(0, 0), (4, 4)],
+                &[
+                    (0, 0, &[1.0, 2.0]),
+                    (7, 0, &[3.0, 4.0]),
+                    (1, 5, &[5.0, 6.0]),
+                ],
+            )],
+        );
+        let dense = pc.to_dense();
+        assert_eq!(dense.shape(), &[2, 2, 3, 3]);
+        assert_eq!(dense.numel() - dense.count_zeros(), 1);
+        assert!(codes(pc.validate()).contains(&"RV011"));
+
+        let un = UnstructuredSparseConv::from_entries(
+            2,
+            2,
+            3,
+            1,
+            1,
+            vec![
+                (0, 0, 0, 0, 1.0),
+                (0, 5, 1, 1, 2.0),
+                (1, 0, 4, 4, 3.0),
+                (7, 0, 0, 0, 4.0),
+            ],
+        );
+        let dense = un.to_dense();
+        assert_eq!(dense.numel() - dense.count_zeros(), 1);
+        assert!(codes(un.validate()).contains(&"RV013"));
+    }
+
+    #[test]
+    fn coo_entries_out_of_channel_order_fire_rv013() {
+        // Valid entries, but oc 1's come before oc 0's: nothing is
+        // sorted behind the caller's back.
+        let entries = vec![(1, 0, 0, 0, 1.0), (0, 0, 0, 0, 2.0)];
+        let un = UnstructuredSparseConv::from_entries(2, 1, 3, 1, 1, entries);
+        assert!(un.validate().iter().any(|v| v.code == "RV013"));
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //!    inner loop runs a fixed, regular set of offsets — unlike
 //!    unstructured sparsity, whose irregular gathers defeat caching.
 //!
-//! [`PatternCompressedConv`] stores a pruned layer grouped by pattern
-//! and [`UnstructuredSparseConv`] stores the same weights as per-weight
-//! COO entries (fig6's unstructured baseline). Both build one
-//! kernel-major [`Pack`], and one register-tiled driver,
+//! A pruned layer is stored once, as a kernel-major [`Pack`].
+//! [`PatternCompressedConv`] is the view of one in which kernels of a
+//! pattern share one offset list, [`UnstructuredSparseConv`] the view
+//! in which every kernel owns its offsets (fig6's unstructured
+//! baseline); pattern groups and COO tuples are derived from the pack
+//! on demand. One register-tiled driver,
 //! [`exec::conv2d_packed_into`], executes every pack: what a pattern
 //! buys at run time is a *uniform tap count per kernel*, which lets the
 //! driver run one arity-monomorphized body per layer (measured 4–6% on

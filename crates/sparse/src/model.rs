@@ -165,8 +165,6 @@ pub struct SparseModel {
     /// dropping in the interpreter and liveness analysis in the plan
     /// compiler.
     pub(crate) uses: Vec<usize>,
-    stored_weights: usize,
-    dense_weights: usize,
     exec: ExecConfig,
     /// When true (the default), `forward*` compiles the input shape to a
     /// cached [`ExecutionPlan`] and runs that; when false, the retained
@@ -193,8 +191,6 @@ impl SparseModel {
     /// add/concat).
     pub fn compile(graph: &Graph) -> Result<Self, SparseModelError> {
         let mut nodes = Vec::with_capacity(graph.len());
-        let mut stored = 0usize;
-        let mut dense = 0usize;
         for n in graph.nodes() {
             let op = match &n.op {
                 NodeOp::Input => SparseOp::Input,
@@ -209,8 +205,6 @@ impl SparseModel {
                                     node: n.name.clone(),
                                     msg: e.to_string(),
                                 })?;
-                        stored += layer.stored_weights();
-                        dense += w.numel();
                         SparseOp::Conv {
                             layer,
                             bias: conv.bias().value.as_slice().to_vec(),
@@ -272,8 +266,6 @@ impl SparseModel {
             nodes: Arc::new(nodes),
             outputs,
             uses,
-            stored_weights: stored,
-            dense_weights: dense,
             exec: ExecConfig::default(),
             planning: true,
             plans: RwLock::new(HashMap::new()),
@@ -365,16 +357,18 @@ impl SparseModel {
 
     /// Conv-weight compression achieved by the compiled engine.
     pub fn compression_ratio(&self) -> f64 {
-        if self.stored_weights == 0 {
-            1.0
-        } else {
-            self.dense_weights as f64 / self.stored_weights as f64
+        let layers = self.conv_layers();
+        let dense: usize = layers.iter().map(|(_, l)| l.dense_weights()).sum();
+        match layers.iter().map(|(_, l)| l.stored_weights()).sum() {
+            0 => 1.0,
+            stored => dense as f64 / stored as f64,
         }
     }
 
-    /// Stored (non-zero) conv weights.
+    /// Stored (non-zero) conv weights, summed over the layers' packs.
     pub fn stored_weights(&self) -> usize {
-        self.stored_weights
+        let layers = self.conv_layers();
+        layers.iter().map(|(_, l)| l.stored_weights()).sum()
     }
 
     /// Per-node `(kind, input node indices)` in node order — the
@@ -417,28 +411,17 @@ impl SparseModel {
     }
 
     /// Validates every compiled conv layer's storage invariants
-    /// (see [`PatternCompressedConv::validate`]), plus the engine's
-    /// weight bookkeeping, returning all violations found (empty =
-    /// valid). This is the opt-in pre-flight check the serving layer
-    /// and benchmark harnesses run before trusting an engine.
+    /// (see [`PatternCompressedConv::validate`]), returning all
+    /// violations found (empty = valid). This is the opt-in pre-flight
+    /// check the serving layer and benchmark harnesses run before
+    /// trusting an engine.
     pub fn verify(&self) -> Vec<FormatViolation> {
         let mut out = Vec::new();
-        let mut stored = 0usize;
         for (i, layer) in self.conv_layers() {
             for mut v in layer.validate() {
                 v.message = format!("node {i}: {}", v.message);
                 out.push(v);
             }
-            stored += layer.stored_weights();
-        }
-        if stored != self.stored_weights {
-            out.push(FormatViolation {
-                code: "RV012",
-                message: format!(
-                    "engine stored_weights bookkeeping says {} but layers hold {stored}",
-                    self.stored_weights
-                ),
-            });
         }
         out
     }

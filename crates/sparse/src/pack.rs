@@ -1,25 +1,29 @@
-//! The kernel-major pack: the one execution layout of a sparse conv.
+//! The kernel-major pack: the one stored form of a sparse conv layer.
 //!
-//! A [`Pack`] is a layer's surviving weights laid out once, at layer
-//! construction (load/plan time), in flat contiguous arrays: per output
-//! channel a half-open range of entries, each entry naming its input
-//! channel, its tap-offset slice, and its value slice. The tiled driver
-//! ([`crate::exec::conv2d_packed_into`]) and the scalar oracle just
-//! walk slices — no per-call allocation, no pointer-chasing through
-//! nested `Vec`s.
+//! A [`Pack`] holds a layer's surviving weights once, in flat contiguous
+//! arrays: per output channel a half-open range of kernels, each
+//! naming its input channel, its tap-offset slice, and its value slice.
+//! It is both the storage and the execution layout — the tiled driver
+//! ([`crate::exec::conv2d_packed_into`]) and the scalar oracle walk
+//! these slices directly, and [`crate::PatternCompressedConv`] and
+//! [`crate::UnstructuredSparseConv`] are typed views that own nothing
+//! else. Pattern groups and COO tuples are derived from the pack on
+//! demand ([`Pack::groups`], [`Pack::entries`]) for the checks, tests
+//! and examples that want them.
 //!
-//! The storage formats are *views* that build the same structure:
-//! [`Pack::from_groups`] (pattern-compressed: every kernel of a group
-//! points at the group's one shared offset slice) and
-//! [`Pack::from_coo`] (unstructured: each `(oc, ic)` run owns its
-//! offsets). Which body the driver runs depends only on what the pack
-//! *contains*: a uniform per-entry tap count (every legal R-TOSS layer,
-//! RV001; an unpruned 3×3 layer is uniform 9) hoists the arity dispatch
-//! out of the tile walk, a mixed pack dispatches per entry. Measured
-//! (twin16 128×128, one thread) against an arity-generic per-run loop,
-//! the hoisted body is worth 4–6% on a whole forward and 0.5% on the
-//! heaviest 3×3 layer; which layers carry the difference is
-//! unverified.
+//! The two views differ in one thing, who owns a kernel's offsets. In
+//! the pattern view every kernel with the same non-zero mask points at
+//! one interned offset slice — R-TOSS's "kernels that share a pattern
+//! share one offset list". In the COO view each `(oc, ic)` run owns its
+//! offsets. Kernel order and value order are the same in both, so they
+//! execute bit-identically. Which body the driver runs depends only on
+//! what the pack *contains*: a uniform per-kernel tap count (every
+//! legal R-TOSS layer, RV001; an unpruned 3×3 layer is uniform 9)
+//! hoists the arity dispatch out of the tile walk, a mixed pack
+//! dispatches per kernel. Measured (twin16 128×128, one thread) against an
+//! arity-generic per-run loop, the hoisted body is worth 4–6% on a
+//! whole forward and 0.5% on the heaviest 3×3 layer; which layers carry
+//! the difference is unverified.
 //!
 //! The pack fixes the **canonical accumulation order** the driver and
 //! the scalar reference both follow: per output element the chain is
@@ -27,19 +31,26 @@
 //! order is what makes pack-vs-oracle bit-identity (RV092) achievable
 //! at all — f32 addition does not commute in rounding.
 //!
-//! Packs are *derived* data: bit-exact reconstruction against the
-//! owning format's `to_dense()` is checked by RV090, and the builders
-//! are total (out-of-range entries from corruption-fixture layers are
-//! dropped, never panicked on — the driver additionally skips
-//! out-of-range input channels and clips every tap, so even a corrupt
-//! pack cannot index out of bounds).
+//! A dense weight is already in that order, so the views' `from_dense`
+//! build the pack in one walk of it. The untrusted lowerings behind
+//! [`PatternCompressedConv::from_parts`] and
+//! [`UnstructuredSparseConv::from_entries`] are total and lose nothing
+//! a check needs: a kernel that cannot be placed is kept behind the
+//! last output channel's range, where nothing executes it and
+//! `validate()` reports it; the driver additionally skips out-of-range
+//! input channels and clips every tap, so even a corrupt pack cannot
+//! index out of bounds.
 
-use crate::format::{PatternCompressedConv, PatternGroup, UnstructuredSparseConv};
+use crate::format::{
+    FormatViolation, PatternCompressedConv, PatternGroup, SparseFormatError,
+    UnstructuredSparseConv, Violations,
+};
 use rtoss_tensor::Tensor;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// One pack entry: the surviving taps of one `(oc, ic)` kernel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Entry {
+/// The surviving taps of one `(oc, ic)` kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Kernel {
     /// Input channel the kernel reads.
     ic: u32,
     /// Tap count (length of both slices below).
@@ -50,12 +61,33 @@ struct Entry {
     val: u32,
 }
 
-/// Flat kernel-major execution layout of one sparse conv layer,
-/// geometry included — everything the driver needs.
+/// Which storage view a pack is built or checked as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum View {
+    /// Kernels with the same non-zero mask share one offset slice.
+    Pattern,
+    /// Every `(oc, ic)` run owns its offsets.
+    Coo,
+}
+
+impl View {
+    /// The codes this view reports `(offset-slice, kernel, stored-zero)`
+    /// defects under.
+    fn codes(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            View::Pattern => ("RV010", "RV011", "RV012"),
+            View::Coo => ("RV013", "RV013", "RV013"),
+        }
+    }
+}
+
+/// Flat kernel-major layout of one sparse conv layer, geometry
+/// included — everything the driver needs, and the only copy of the
+/// layer's weights.
 ///
-/// Per output channel the entries are in ascending input-channel order
+/// Per output channel the kernels are in ascending input-channel order
 /// (the canonical order); each owns a contiguous value slice and points
-/// at an offset slice that pattern-built packs share across a group.
+/// at an offset slice that pattern-view packs share across kernels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pack {
     pub(crate) out_ch: usize,
@@ -64,16 +96,20 @@ pub struct Pack {
     pub(crate) stride: usize,
     pub(crate) pad: usize,
     /// Per output channel, the half-open `[start, end)` range into
-    /// `entries`.
+    /// `kernels`. Kernels past the last range are ones an untrusted
+    /// lowering could not place; nothing executes them.
     oc_ranges: Vec<(u32, u32)>,
-    entries: Vec<Entry>,
+    kernels: Vec<Kernel>,
     /// Concatenated tap offsets as `(ky, kx)`.
     offsets: Vec<(u8, u8)>,
     /// Kernel-major concatenated tap values.
     values: Vec<f32>,
-    /// `Some(t)` iff every entry has exactly `t` taps.
+    /// `Some(t)` iff every kernel has exactly `t` taps.
     uniform: Option<u32>,
 }
+
+/// Largest kernel extent whose offsets a `(u8, u8)` tap can address.
+const MAX_KERNEL: usize = 256;
 
 /// Offsets wider than `u8` are saturated: execution clips every tap
 /// anyway, and `validate()` (RV010/RV013) rejects such layers before
@@ -82,44 +118,142 @@ fn tap(ky: usize, kx: usize) -> (u8, u8) {
     (ky.min(255) as u8, kx.min(255) as u8)
 }
 
-/// `Some(t)` iff there is at least one entry and all have `t` taps.
-fn uniform_of(entries: &[Entry]) -> Option<u32> {
-    let t = entries.first()?.taps;
-    entries.iter().all(|e| e.taps == t).then_some(t)
+/// A channel index as stored; one too wide for `u32` saturates, which
+/// is out of range for any layer.
+pub(crate) fn narrow(c: usize) -> u32 {
+    u32::try_from(c).unwrap_or(u32::MAX)
 }
 
-/// Exclusive prefix sum in place: `counts[b]` becomes the number of
-/// items in buckets before `b`. With one spare trailing bucket, the
-/// last element ends up as the total.
-fn exclusive_prefix_sum(counts: &mut [u32]) {
-    let mut running = 0u32;
-    for c in counts {
-        running += std::mem::replace(c, running);
-    }
-}
-
-/// A group's `(kernel index, (oc, ic))` pairs whose output channel is
-/// in range — the kernels a pack keeps.
-fn kept(g: &PatternGroup, out_ch: usize) -> impl Iterator<Item = (usize, (u32, u32))> + '_ {
-    g.coords
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(move |&(_, (oc, _))| (oc as usize) < out_ch)
+/// `Some(t)` iff there is at least one kernel and all have `t` taps.
+fn uniform_of(kernels: &[Kernel]) -> Option<u32> {
+    let t = kernels.first()?.taps;
+    kernels.iter().all(|k| k.taps == t).then_some(t)
 }
 
 impl Pack {
-    /// The pattern view: builds the pack from pattern groups, storing
-    /// each group's offsets once. Total: kernels whose output channel
-    /// is out of range are dropped (corruption-fixture layers), and
-    /// out-of-range input channels sort after every valid one.
+    fn empty(out_ch: usize, in_ch: usize, kernel: usize, stride: usize, pad: usize) -> Self {
+        Pack {
+            out_ch,
+            in_ch,
+            kernel,
+            stride,
+            pad,
+            oc_ranges: Vec::new(),
+            kernels: Vec::new(),
+            offsets: Vec::new(),
+            values: Vec::new(),
+            uniform: None,
+        }
+    }
+
+    /// Builds the pack from a (masked) dense weight `(O, I, k, k)` in
+    /// one walk: the weight is already in canonical `(oc, ic, ky, kx)`
+    /// order, so every non-empty kernel becomes the next entry and its
+    /// non-zero cells the next values. The pattern view interns each
+    /// distinct mask's offsets once, in first-seen order; the COO view
+    /// gives every kernel its own. Zero cells are dropped and fully
+    /// zero kernels skipped (they cost nothing at inference — the
+    /// "skipping" the paper's §II.B describes).
     ///
-    /// A counting sort on `(oc, ic)`: count the kernels per bucket,
-    /// prefix-sum, deal them in group order (so kernels that share a
-    /// bucket keep group order), then lay the values down once in the
-    /// final entry order. Linear in kernels plus `out_ch × in_ch`, a
-    /// fixed number of allocations.
-    pub fn from_groups(
+    /// # Errors
+    ///
+    /// Returns [`SparseFormatError::BadShape`] if the weight is not
+    /// rank 4 with square kernels, or is wider than the pack can index
+    /// (a kernel extent over 256, more than `u32::MAX` weights).
+    pub(crate) fn from_dense(
+        w: &Tensor,
+        stride: usize,
+        pad: usize,
+        view: View,
+    ) -> Result<Self, SparseFormatError> {
+        let shape = w.shape();
+        if shape.len() != 4
+            || shape[2] != shape[3]
+            || shape[2] > MAX_KERNEL
+            || u32::try_from(w.numel()).is_err()
+        {
+            return Err(SparseFormatError::BadShape {
+                shape: shape.to_vec(),
+            });
+        }
+        let (o, i, k) = (shape[0], shape[1], shape[2]);
+        let kk = k * k;
+        let wd = w.as_slice();
+        // Values are sized exactly (one spare slot for the compaction
+        // below); kernels for the worst case, trimmed at the end.
+        let stored = wd.len() - w.count_zeros();
+        let mut pack = Pack {
+            oc_ranges: Vec::with_capacity(o),
+            kernels: Vec::with_capacity(o * i),
+            offsets: Vec::with_capacity(if view == View::Coo { stored } else { 0 }),
+            values: vec![0.0; stored + 1],
+            ..Pack::empty(o, i, k, stride, pad)
+        };
+        let cell_taps: Vec<(u8, u8)> = (0..kk).map(|ci| tap(ci / k, ci % k)).collect();
+        // Pattern view: where each distinct mask's offsets start.
+        let mut interned: BTreeMap<Vec<(u8, u8)>, u32> = BTreeMap::new();
+        let mut taps = vec![(0u8, 0u8); kk + 1];
+        let mut held = 0usize;
+        for oc in 0..o {
+            let start = pack.kernels.len() as u32;
+            let row = &wd[oc * i * kk..(oc + 1) * i * kk];
+            // (`max(1)`: an empty row has no chunks, whatever the length.)
+            for (ic, cells) in row.chunks_exact(kk.max(1)).enumerate() {
+                // Compacts the non-zero cells without branching on the
+                // weights (a pruned layer's zeros are unpredictable):
+                // every cell is written, the cursors advance only past
+                // the non-zero ones. Worth 15.5 -> 8 ms over yolov5s'
+                // 3x3 layers at 3EP.
+                let val = held as u32;
+                let mut n = 0usize;
+                for (&v, &at) in cells.iter().zip(&cell_taps) {
+                    let keep = usize::from(v != 0.0);
+                    taps[n] = at;
+                    pack.values[held] = v;
+                    n += keep;
+                    held += keep;
+                }
+                if n == 0 {
+                    continue; // fully pruned kernel: skipped entirely
+                }
+                let taps = &taps[..n];
+                let shared = match view {
+                    View::Pattern => interned.get(taps).copied(),
+                    View::Coo => None,
+                };
+                let off = shared.unwrap_or_else(|| {
+                    let off = pack.offsets.len() as u32;
+                    pack.offsets.extend_from_slice(taps);
+                    if view == View::Pattern {
+                        interned.insert(taps.to_vec(), off);
+                    }
+                    off
+                });
+                pack.kernels.push(Kernel {
+                    ic: ic as u32,
+                    taps: n as u32,
+                    off,
+                    val,
+                });
+            }
+            pack.oc_ranges.push((start, pack.kernels.len() as u32));
+        }
+        pack.values.truncate(stored);
+        pack.kernels.shrink_to_fit();
+        pack.uniform = uniform_of(&pack.kernels);
+        Ok(pack)
+    }
+
+    /// The untrusted pattern lowering (behind
+    /// [`PatternCompressedConv::from_parts`]): each group's offsets
+    /// once, its kernels sorted — stably, so kernels that share an
+    /// `(oc, ic)` keep group order, then kernel order — into canonical
+    /// order. Total, and nothing is hidden from
+    /// [`violations`](Self::violations): kernels of an out-of-range
+    /// output channel sort behind the last range, an out-of-range input
+    /// channel behind the valid ones of its row, and a ragged group
+    /// leaves short kernels or unowned values.
+    pub(crate) fn from_groups(
         out_ch: usize,
         in_ch: usize,
         kernel: usize,
@@ -127,78 +261,39 @@ impl Pack {
         pad: usize,
         groups: &[PatternGroup],
     ) -> Self {
-        // Bucket of a kernel: its oc's row of `in_ch + 1` slots, the
-        // last one collecting out-of-range input channels.
-        let row = in_ch + 1;
-        let bucket = |oc: u32, ic: u32| oc as usize * row + (ic as usize).min(in_ch);
-
-        // Pass 1: each group's offsets once; kernels counted per bucket.
-        let mut offsets = Vec::with_capacity(groups.iter().map(|g| g.offsets.len()).sum());
-        let mut cursor = vec![0u32; out_ch * row + 1];
-        for g in groups {
-            offsets.extend(g.offsets.iter().map(|&(ky, kx)| tap(ky, kx)));
-            for (_, (oc, ic)) in kept(g, out_ch) {
-                cursor[bucket(oc, ic)] += 1;
-            }
+        let mut pack = Pack::empty(out_ch, in_ch, kernel, stride, pad);
+        let mut members: Vec<(usize, usize, u32, &[f32])> = Vec::new();
+        let mut unowned: Vec<f32> = Vec::new();
+        for g in groups.iter().filter(|g| !g.coords.is_empty()) {
+            let off = pack.offsets.len() as u32;
+            pack.offsets
+                .extend(g.offsets.iter().map(|&(ky, kx)| tap(ky, kx)));
+            members.extend(g.kernels().map(|(oc, ic, values)| (oc, ic, off, values)));
+            unowned.extend(g.values.iter().skip(g.coords.len() * g.offsets.len()));
         }
-        exclusive_prefix_sum(&mut cursor);
-        let total = cursor[out_ch * row] as usize;
-        let oc_ranges = (0..out_ch)
-            .map(|oc| (cursor[oc * row], cursor[(oc + 1) * row]))
-            .collect();
-
-        // Pass 2: deal every kernel to its final slot, remembering where
-        // its values live (`val` holds the source start for now).
-        let mut entries = vec![Entry::default(); total];
-        let mut source = vec![0u32; total];
-        let mut off = 0u32;
-        for (gi, g) in groups.iter().enumerate() {
-            let taps = g.offsets.len();
-            for (ki, (oc, ic)) in kept(g, out_ch) {
-                let start = (ki * taps).min(g.values.len());
-                let slot = &mut cursor[bucket(oc, ic)];
-                entries[*slot as usize] = Entry {
-                    ic,
-                    taps: taps.min(g.values.len() - start) as u32,
-                    off,
-                    val: start as u32,
-                };
-                source[*slot as usize] = gi as u32;
-                *slot += 1;
-            }
-            off += taps as u32;
+        members.sort_by_key(|&(oc, ic, ..)| (oc, ic));
+        for (oc, ic, off, values) in members {
+            pack.seal_below(oc.min(out_ch));
+            pack.kernels.push(Kernel {
+                ic: narrow(ic),
+                taps: values.len() as u32,
+                off,
+                val: pack.values.len() as u32,
+            });
+            pack.values.extend_from_slice(values);
         }
-
-        // Pass 3: values kernel-major in final order, exact capacity.
-        let mut values = Vec::with_capacity(entries.iter().map(|e| e.taps as usize).sum());
-        for (e, &gi) in entries.iter_mut().zip(&source) {
-            let from = e.val as usize;
-            e.val = values.len() as u32;
-            values.extend_from_slice(&groups[gi as usize].values[from..from + e.taps as usize]);
-        }
-        Pack {
-            out_ch,
-            in_ch,
-            kernel,
-            stride,
-            pad,
-            uniform: uniform_of(&entries),
-            oc_ranges,
-            entries,
-            offsets,
-            values,
-        }
+        pack.values.extend(unowned);
+        pack.sealed()
     }
 
-    /// The COO view: builds the pack from `(oc, ic, ky, kx, value)`
-    /// entries in their stored order (the RV013 invariant makes that
-    /// the canonical order for valid layers), merging consecutive
-    /// entries of one `(oc, ic)` pair into a run that owns its offsets.
-    /// Total: out-of-range output channels are dropped.
-    ///
-    /// A counting sort on `oc` (stable, so each output channel keeps
-    /// its stored order), then one pass that cuts the runs.
-    pub fn from_coo(
+    /// The untrusted COO lowering (behind
+    /// [`UnstructuredSparseConv::from_entries`]): walks `(oc, ic, ky,
+    /// kx, value)` entries in their stored order, cutting a run
+    /// wherever the kernel changes. Nothing is sorted, so every
+    /// disorder stays visible to [`violations`](Self::violations); an
+    /// entry whose output channel is out of range or already closed is
+    /// kept behind the last range.
+    pub(crate) fn from_coo(
         out_ch: usize,
         in_ch: usize,
         kernel: usize,
@@ -206,61 +301,90 @@ impl Pack {
         pad: usize,
         coo: &[(usize, usize, usize, usize, f32)],
     ) -> Self {
-        let kept = || coo.iter().filter(|e| e.0 < out_ch);
-        let mut cursor = vec![0u32; out_ch + 1];
-        for &(oc, ..) in kept() {
-            cursor[oc] += 1;
-        }
-        exclusive_prefix_sum(&mut cursor);
-        let total = cursor[out_ch] as usize;
-
-        let mut ics = vec![0u32; total];
-        let mut offsets = vec![(0u8, 0u8); total];
-        let mut values = vec![0.0f32; total];
-        for &(oc, ic, ky, kx, v) in kept() {
-            let at = cursor[oc] as usize;
-            cursor[oc] += 1;
-            ics[at] = ic as u32;
-            offsets[at] = tap(ky, kx);
-            values[at] = v;
-        }
-
-        // After the deal `cursor[oc]` is the end of oc's weights, which
-        // is where oc + 1's begin.
-        let mut oc_ranges = Vec::with_capacity(out_ch);
-        let mut entries: Vec<Entry> = Vec::new();
-        let mut lo = 0u32;
-        for &hi in &cursor[..out_ch] {
-            let start = entries.len();
-            for at in lo..hi {
-                match entries[start..].last_mut() {
-                    Some(run) if run.ic == ics[at as usize] => run.taps += 1,
-                    _ => entries.push(Entry {
-                        ic: ics[at as usize],
-                        taps: 1,
-                        off: at,
-                        val: at,
-                    }),
-                }
+        let mut pack = Pack {
+            offsets: Vec::with_capacity(coo.len()),
+            values: Vec::with_capacity(coo.len()),
+            ..Pack::empty(out_ch, in_ch, kernel, stride, pad)
+        };
+        let mut unplaced = Vec::new();
+        for entry in coo {
+            if entry.0 >= out_ch || entry.0 < pack.oc_ranges.len() {
+                unplaced.push(entry);
+                continue;
             }
-            oc_ranges.push((start as u32, entries.len() as u32));
-            lo = hi;
+            pack.seal_below(entry.0);
+            pack.push_tap(entry);
         }
-        Pack {
-            out_ch,
-            in_ch,
-            kernel,
-            stride,
-            pad,
-            uniform: uniform_of(&entries),
-            oc_ranges,
-            entries,
-            offsets,
-            values,
+        pack.seal_below(out_ch);
+        for entry in unplaced {
+            pack.push_tap(entry);
+        }
+        pack.sealed()
+    }
+
+    /// Ends the range of every output channel below `oc` at the current
+    /// kernel count: the open channel's kernels are the ones pushed
+    /// since the last seal, channels skipped over are empty.
+    fn seal_below(&mut self, oc: usize) {
+        let end = self.kernels.len() as u32;
+        while self.oc_ranges.len() < oc {
+            let start = self.oc_ranges.last().map_or(0, |r| r.1);
+            self.oc_ranges.push((start, end));
         }
     }
 
-    /// `Some(arity)` iff every entry stores exactly `arity` taps (the
+    /// Appends one COO entry to the open channel, extending its last
+    /// run if that reads the same input channel.
+    fn push_tap(&mut self, &(_, ic, ky, kx, v): &(usize, usize, usize, usize, f32)) {
+        let open = self.oc_ranges.last().map_or(0, |r| r.1 as usize);
+        let at = self.values.len() as u32;
+        match self.kernels[open..].last_mut() {
+            Some(run) if run.ic == narrow(ic) => run.taps += 1,
+            _ => self.kernels.push(Kernel {
+                ic: narrow(ic),
+                taps: 1,
+                off: at,
+                val: at,
+            }),
+        }
+        self.offsets.push(tap(ky, kx));
+        self.values.push(v);
+    }
+
+    /// Closes an untrusted lowering: every remaining channel sealed,
+    /// arity taken over the kernels that execute.
+    fn sealed(mut self) -> Self {
+        self.seal_below(self.out_ch);
+        self.uniform = uniform_of(&self.kernels[..self.kernel_count()]);
+        self
+    }
+
+    /// Output channels.
+    pub fn out_channels(&self) -> usize {
+        self.out_ch
+    }
+
+    /// Input channels.
+    pub fn in_channels(&self) -> usize {
+        self.in_ch
+    }
+
+    /// Kernel extent.
+    pub fn kernel_size(&self) -> usize {
+        self.kernel
+    }
+
+    /// Stride.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Padding.
+    pub fn padding(&self) -> usize {
+        self.pad
+    }
+
+    /// `Some(arity)` iff every kernel stores exactly `arity` taps (the
     /// RV001 uniform entry count); `None` for an empty or mixed-arity
     /// pack. Lets the driver hoist the arity dispatch out of the tile
     /// walk.
@@ -269,35 +393,105 @@ impl Pack {
         self.uniform.map(|t| t as usize)
     }
 
+    fn slices(&self, k: &Kernel) -> (&[(u8, u8)], &[f32]) {
+        let taps = k.taps as usize;
+        (
+            &self.offsets[k.off as usize..k.off as usize + taps],
+            &self.values[k.val as usize..k.val as usize + taps],
+        )
+    }
+
     /// Iterates one output channel's kernels in canonical order as
     /// `(ic, taps, vals)` slices. Out-of-range `oc` yields nothing.
     #[inline]
     pub fn oc_kernels(&self, oc: usize) -> impl Iterator<Item = (usize, &[(u8, u8)], &[f32])> + '_ {
         let (start, end) = self.oc_ranges.get(oc).copied().unwrap_or((0, 0));
-        self.entries[start as usize..end as usize].iter().map(|e| {
-            let taps = e.taps as usize;
-            (
-                e.ic as usize,
-                &self.offsets[e.off as usize..e.off as usize + taps],
-                &self.values[e.val as usize..e.val as usize + taps],
-            )
+        self.kernels[start as usize..end as usize].iter().map(|k| {
+            let (taps, vals) = self.slices(k);
+            (k.ic as usize, taps, vals)
         })
     }
 
-    /// Total packed `(oc, ic)` kernel count.
+    /// Packed `(oc, ic)` kernels — the ones the driver runs.
     pub fn kernel_count(&self) -> usize {
-        self.entries.len()
+        self.oc_ranges.last().map_or(0, |r| r.1 as usize)
     }
 
-    /// Total packed value count.
-    pub fn value_count(&self) -> usize {
+    /// Stored weight count.
+    pub fn stored_weights(&self) -> usize {
         self.values.len()
     }
 
-    /// Reconstructs the dense weight tensor from the pack alone —
-    /// RV090 bit-compares this against the owning layer's
-    /// `to_dense()`. Out-of-bounds coordinates are skipped (total on
-    /// corrupt layers).
+    /// Weight count of the dense layer this pack stands for.
+    pub fn dense_weights(&self) -> usize {
+        self.out_ch * self.in_ch * self.kernel * self.kernel
+    }
+
+    /// Dense-to-stored weight ratio (the paper's compression metric).
+    pub fn compression_ratio(&self) -> f64 {
+        if self.values.is_empty() {
+            f64::INFINITY
+        } else {
+            self.dense_weights() as f64 / self.values.len() as f64
+        }
+    }
+
+    /// Number of distinct offset slices the kernels point at: the
+    /// patterns in use in the pattern view.
+    pub fn pattern_count(&self) -> usize {
+        let mut seen = vec![false; self.offsets.len() + 1];
+        self.kernels[..self.kernel_count()]
+            .iter()
+            .filter(|k| !std::mem::replace(&mut seen[k.off as usize], true))
+            .count()
+    }
+
+    /// The pattern-group view, derived on demand: one group per
+    /// distinct offset slice in first-use order, its kernels in pack
+    /// order.
+    pub fn groups(&self) -> Vec<PatternGroup> {
+        let mut group_at = vec![usize::MAX; self.offsets.len() + 1];
+        let mut groups: Vec<PatternGroup> = Vec::new();
+        for (oc, &(start, end)) in self.oc_ranges.iter().enumerate() {
+            for k in &self.kernels[start as usize..end as usize] {
+                let (taps, vals) = self.slices(k);
+                let gi = &mut group_at[k.off as usize];
+                if *gi == usize::MAX {
+                    *gi = groups.len();
+                    groups.push(PatternGroup {
+                        offsets: taps
+                            .iter()
+                            .map(|&(ky, kx)| (ky as usize, kx as usize))
+                            .collect(),
+                        coords: Vec::new(),
+                        values: Vec::new(),
+                    });
+                }
+                groups[*gi].coords.push((oc as u32, k.ic));
+                groups[*gi].values.extend_from_slice(vals);
+            }
+        }
+        groups
+    }
+
+    /// The COO view, derived on demand: `(oc, ic, ky, kx, value)` for
+    /// every stored weight in pack order.
+    pub fn entries(&self) -> Vec<(usize, usize, usize, usize, f32)> {
+        let mut out = Vec::with_capacity(self.values.len());
+        for oc in 0..self.out_ch {
+            for (ic, taps, vals) in self.oc_kernels(oc) {
+                out.extend(
+                    taps.iter()
+                        .zip(vals)
+                        .map(|(&(ky, kx), &v)| (oc, ic, ky as usize, kx as usize, v)),
+                );
+            }
+        }
+        out
+    }
+
+    /// Reconstructs the dense weight tensor. Out-of-bounds coordinates
+    /// are skipped (total on corrupt layers).
     pub fn to_dense(&self) -> Tensor {
         let (in_ch, kernel) = (self.in_ch, self.kernel);
         let mut w = Tensor::zeros(&[self.out_ch, in_ch, kernel, kernel]);
@@ -318,39 +512,167 @@ impl Pack {
         w
     }
 
+    /// Checks every structural invariant the executors rely on, on the
+    /// arrays they read, reporting each defect class under `view`'s
+    /// code (at most [`crate::FindingCap::LIMIT`] findings per code
+    /// plus one "… and N more"):
+    ///
+    /// - *offset slices* (RV010 / RV013) are non-empty, strictly
+    ///   increasing in row-major `(ky, kx)` order and in-bounds for the
+    ///   kernel extent; in the pattern view no two hold the same
+    ///   pattern;
+    /// - *kernels* (RV011 / RV013) are in-bounds and strictly ascending
+    ///   in `ic` within their output channel (so none is stored twice),
+    ///   all placed in a channel's range, agree on the tap count of the
+    ///   slice they share, and between them own every stored offset and
+    ///   value;
+    /// - *values* (RV012 / RV013) are never zero (zeros must be
+    ///   *dropped*, or the compression ratio lies).
+    pub(crate) fn violations(&self, view: View) -> Vec<FormatViolation> {
+        let (offsets_code, kernel_code, zero_code) = view.codes();
+        let mut out = Violations::default();
+        let (k, in_ch) = (self.kernel, self.in_ch);
+        if k > MAX_KERNEL {
+            out.push(offsets_code, || {
+                format!("kernel extent {k} exceeds the {MAX_KERNEL} a tap offset can address")
+            });
+        }
+        // Tap count of the offset slice starting at each position; 0
+        // until a kernel points there.
+        let mut slice_taps = vec![0u32; self.offsets.len() + 1];
+        let mut owned_offsets = 0usize;
+        let mut patterns = BTreeSet::new();
+        let stores_zero = self.values.contains(&0.0);
+        for (oc, &(start, end)) in self.oc_ranges.iter().enumerate() {
+            let mut last_ic = None;
+            for kern in &self.kernels[start as usize..end as usize] {
+                let ic = kern.ic as usize;
+                if ic >= in_ch {
+                    out.push(kernel_code, || {
+                        format!(
+                            "kernel ({oc},{ic}) out of bounds for {}x{in_ch} layer",
+                            self.out_ch
+                        )
+                    });
+                } else if last_ic.is_some_and(|last| last >= ic) {
+                    out.push(kernel_code, || {
+                        format!("kernel ({oc},{ic}) stored more than once or out of order")
+                    });
+                }
+                last_ic = Some(ic);
+                if stores_zero && self.slices(kern).1.contains(&0.0) {
+                    out.push(zero_code, || {
+                        format!("kernel ({oc},{ic}) stores an explicit zero")
+                    });
+                }
+                let seen = &mut slice_taps[kern.off as usize];
+                if kern.taps == 0 {
+                    out.push(offsets_code, || {
+                        format!("kernel ({oc},{ic}): empty offset pattern")
+                    });
+                } else if *seen == 0 {
+                    *seen = kern.taps;
+                    let taps = self.slices(kern).0;
+                    owned_offsets += taps.len();
+                    for pair in taps.windows(2) {
+                        if pair[0] >= pair[1] {
+                            out.push(offsets_code, || {
+                                format!(
+                                    "kernel ({oc},{ic}): offsets not strictly row-major \
+                                     sorted at {:?},{:?}",
+                                    pair[0], pair[1]
+                                )
+                            });
+                        }
+                    }
+                    for &(ky, kx) in taps {
+                        if ky as usize >= k || kx as usize >= k {
+                            out.push(offsets_code, || {
+                                format!(
+                                    "kernel ({oc},{ic}): offset ({ky},{kx}) out of bounds \
+                                     for kernel {k}"
+                                )
+                            });
+                        }
+                    }
+                    if view == View::Pattern && !patterns.insert(taps) {
+                        out.push(offsets_code, || {
+                            format!("kernel ({oc},{ic}): duplicate pattern {taps:?}")
+                        });
+                    }
+                } else if *seen != kern.taps {
+                    out.push(kernel_code, || {
+                        format!(
+                            "kernel ({oc},{ic}) holds {} values for a pattern of {seen} offsets",
+                            kern.taps
+                        )
+                    });
+                }
+            }
+        }
+        if owned_offsets != self.offsets.len() {
+            out.push(kernel_code, || {
+                format!(
+                    "{} offsets are stored but the kernels' patterns cover {owned_offsets}",
+                    self.offsets.len()
+                )
+            });
+        }
+        let owned_values: usize = self.kernels.iter().map(|k| k.taps as usize).sum();
+        if owned_values != self.values.len() {
+            out.push(kernel_code, || {
+                format!(
+                    "{} values are stored but the kernels hold {owned_values}",
+                    self.values.len()
+                )
+            });
+        }
+        let unplaced = self.kernels.len() - self.kernel_count();
+        if unplaced > 0 {
+            out.push(kernel_code, || {
+                format!(
+                    "{unplaced} kernel(s) name an output channel out of bounds for the \
+                     {}-channel layer, or one stored out of order",
+                    self.out_ch
+                )
+            });
+        }
+        out.finish()
+    }
+
     /// Mutable access to the packed values. Corruption-fixture hook:
-    /// lets `rtoss-verify` seed a pack/dense divergence on a *copy* of
-    /// a layer's pack that RV090 and RV092 must catch. Never use
-    /// outside tests/fixtures.
+    /// lets `rtoss-verify` seed a divergence on a *copy* of a layer's
+    /// pack that RV090 and RV092 must catch. Never use outside
+    /// tests/fixtures.
     #[doc(hidden)]
     pub fn values_mut(&mut self) -> &mut [f32] {
         &mut self.values
     }
 }
 
-/// Derives the COO form of a pattern-compressed layer in canonical
-/// `(oc, ic, ky, kx)` order — the unstructured baseline on identical
-/// weights.
+/// Derives the COO form of a pattern-compressed layer — the
+/// unstructured baseline on identical weights: the same kernels and
+/// values in the same order, every run owning a copy of its offsets.
 pub fn coo_from_pattern(layer: &PatternCompressedConv) -> UnstructuredSparseConv {
-    let mut entries = Vec::with_capacity(layer.stored_weights());
-    for g in layer.groups() {
-        for (oc, ic, values) in g.kernels() {
-            for (&(ky, kx), &v) in g.offsets.iter().zip(values) {
-                if v != 0.0 {
-                    entries.push((oc, ic, ky, kx, v));
-                }
-            }
-        }
-    }
-    entries.sort_by_key(|&(oc, ic, ky, kx, _)| (oc, ic, ky, kx));
-    UnstructuredSparseConv::from_entries(
-        layer.out_channels(),
-        layer.in_channels(),
-        layer.kernel_size(),
-        layer.stride(),
-        layer.padding(),
-        entries,
-    )
+    let pack = layer.pack();
+    let mut offsets = Vec::with_capacity(pack.values.len());
+    let kernels = pack
+        .kernels
+        .iter()
+        .map(|k| {
+            let off = offsets.len() as u32;
+            offsets.extend_from_slice(pack.slices(k).0);
+            Kernel { off, ..*k }
+        })
+        .collect();
+    UnstructuredSparseConv::from_pack(Pack {
+        oc_ranges: pack.oc_ranges.clone(),
+        kernels,
+        offsets,
+        values: pack.values.clone(),
+        uniform: pack.uniform,
+        ..Pack::empty(pack.out_ch, pack.in_ch, pack.kernel, pack.stride, pack.pad)
+    })
 }
 
 #[cfg(test)]
@@ -403,7 +725,7 @@ mod tests {
         let un = UnstructuredSparseConv::from_dense(&w, 1, 1).unwrap();
         let pack = un.pack();
         assert_eq!(pack.to_dense().as_slice(), w.as_slice());
-        assert_eq!(pack.value_count(), un.entries().len());
+        assert_eq!(pack.stored_weights(), un.entries().len());
         for oc in 0..8 {
             let ics: Vec<usize> = pack.oc_kernels(oc).map(|(ic, _, _)| ic).collect();
             // Valid layers are (oc, ic, …)-sorted, so runs merge: each
@@ -430,17 +752,20 @@ mod tests {
     }
 
     #[test]
-    fn builders_total_on_corrupt_coordinates() {
+    fn lowerings_are_total_and_keep_corrupt_coordinates_visible() {
         let groups = vec![PatternGroup::from_kernels(
             vec![(9, 0), (300, 300)],
             &[(99, 7, &[1.0, 2.0]), (0, 99, &[3.0, 4.0])],
         )];
         let pack = Pack::from_groups(2, 1, 3, 1, 1, &groups);
-        assert_eq!(pack.kernel_count(), 1); // oc 99 dropped
-        let _ = pack.to_dense(); // out-of-range ic/taps skipped
+        assert_eq!(pack.kernel_count(), 1); // oc 99 is not run…
+        assert_eq!(pack.stored_weights(), 4); // …but not forgotten
+        assert_eq!(pack.to_dense().count_zeros(), 18); // out-of-range ic/taps skipped
+        assert!(pack.violations(View::Pattern).len() >= 3);
         let coo = Pack::from_coo(2, 1, 3, 1, 1, &[(5, 0, 0, 0, 1.0), (0, 9, 400, 0, 2.0)]);
-        assert_eq!(coo.value_count(), 1);
-        let _ = coo.to_dense();
+        assert_eq!((coo.kernel_count(), coo.stored_weights()), (1, 2));
+        assert_eq!(coo.to_dense().count_zeros(), 18);
+        assert!(coo.violations(View::Coo).len() >= 3);
     }
 
     #[test]
@@ -450,6 +775,6 @@ mod tests {
         let un = coo_from_pattern(&pc);
         assert!(un.validate().is_empty());
         assert_eq!(un.to_dense().as_slice(), w.as_slice());
-        assert_eq!(un.stride(), 2);
+        assert_eq!(un, UnstructuredSparseConv::from_dense(&w, 2, 1).unwrap());
     }
 }

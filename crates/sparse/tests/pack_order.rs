@@ -1,115 +1,31 @@
-//! The pack builder's order contract, against the builder it replaced.
+//! The pack's order contract, against a walk of the dense weight.
 //!
-//! `Pack::from_groups` is a counting sort on `(oc, ic)`. The tiled
-//! driver's bit-identity to the scalar oracle rests on the order it
-//! produces, so this pins it three ways over random kEP / 1×1 /
-//! unpruned layers:
+//! A dense `(O, I, k, k)` weight is already in canonical `(oc, ic, ky,
+//! kx)` order, and `from_dense` builds the pack in one walk of it. The
+//! tiled driver's bit-identity to the scalar oracle rests on the order
+//! that walk produces, so this pins it over random kEP / 1×1 /
+//! unpruned / 6×6 layers:
 //!
-//! 1. the pack does not depend on kernel order inside a group, and its
-//!    per-`oc` entries are `ic`-ascending;
-//! 2. kernels that share an `(oc, ic)` (corrupt input; RV011) keep
-//!    group order, then kernel order — the sort is stable;
-//! 3. the whole layout — ranges, entries, offset table, value array —
-//!    equals what the staging builder it replaced (per-`oc`
-//!    `Vec<Vec<_>>`, stable `sort_by_key(ic)`) lays out. `Pack`'s fields
-//!    are private, so [`reference`] mirrors the struct under the same
-//!    names and the two are compared through `Debug`, which prints
-//!    every field of both.
+//! 1. per `oc`, the pack's kernels are exactly the weight's non-empty
+//!    kernels in strictly ascending `ic`, each with its non-zero cells
+//!    as taps in ascending `(ky, kx)` and their values bit for bit —
+//!    in both views;
+//! 2. the pattern view stores one offset slice per distinct mask and
+//!    every kernel with that mask points at it; the COO view gives
+//!    every kernel its own;
+//! 3. the untrusted lowering behind `from_parts` reaches the same pack
+//!    whatever the kernel order inside a group, keeps group order, then
+//!    kernel order, for kernels that share an `(oc, ic)` (corrupt
+//!    input; RV011), runs an out-of-range `ic` after the valid ones
+//!    and never runs an out-of-range `oc`.
 
 use proptest::prelude::*;
 use rtoss_core::pattern::canonical_set;
 use rtoss_core::prune1x1::prune_1x1_weights;
 use rtoss_core::prune3x3::prune_3x3_weights;
-use rtoss_sparse::{Pack, PatternCompressedConv, PatternGroup};
+use rtoss_sparse::{Pack, PatternCompressedConv, PatternGroup, UnstructuredSparseConv};
 use rtoss_tensor::{init, Tensor};
-
-/// The staging builder `Pack::from_groups` replaced, kept as the
-/// reference. Field and type names mirror `rtoss_sparse::pack` so the
-/// `Debug` renderings are comparable.
-mod reference {
-    use rtoss_sparse::PatternGroup;
-
-    #[derive(Debug)]
-    #[allow(dead_code)] // read through Debug only
-    pub struct Entry {
-        ic: u32,
-        taps: u32,
-        off: u32,
-        val: u32,
-    }
-
-    #[derive(Debug)]
-    #[allow(dead_code)] // read through Debug only
-    pub struct Pack {
-        out_ch: usize,
-        in_ch: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-        oc_ranges: Vec<(u32, u32)>,
-        entries: Vec<Entry>,
-        offsets: Vec<(u8, u8)>,
-        values: Vec<f32>,
-        uniform: Option<u32>,
-    }
-
-    pub fn from_groups(
-        out_ch: usize,
-        in_ch: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-        groups: &[PatternGroup],
-    ) -> Pack {
-        type Staged<'a> = (u32, u32, u32, &'a [f32]);
-        let mut offsets = Vec::new();
-        let mut staged: Vec<Vec<Staged>> = vec![Vec::new(); out_ch];
-        for g in groups {
-            let off = offsets.len() as u32;
-            offsets.extend(
-                g.offsets
-                    .iter()
-                    .map(|&(ky, kx)| (ky.min(255) as u8, kx.min(255) as u8)),
-            );
-            for (oc, ic, values) in g.kernels() {
-                if oc >= out_ch {
-                    continue;
-                }
-                let taps = (g.offsets.len() as u32).min(values.len() as u32);
-                staged[oc].push((ic as u32, taps, off, values));
-            }
-        }
-        let mut oc_ranges = Vec::with_capacity(out_ch);
-        let mut entries = Vec::new();
-        let mut values = Vec::new();
-        for ocs in &mut staged {
-            ocs.sort_by_key(|&(ic, _, _, _)| ic); // stable: ties keep group order
-            let start = entries.len() as u32;
-            for &(ic, taps, off, vals) in ocs.iter() {
-                let val = values.len() as u32;
-                values.extend_from_slice(&vals[..taps as usize]);
-                entries.push(Entry { ic, taps, off, val });
-            }
-            oc_ranges.push((start, entries.len() as u32));
-        }
-        let uniform = entries
-            .first()
-            .map(|e| e.taps)
-            .filter(|&t| entries.iter().all(|e| e.taps == t));
-        Pack {
-            out_ch,
-            in_ch,
-            kernel,
-            stride,
-            pad,
-            oc_ranges,
-            entries,
-            offsets,
-            values,
-            uniform,
-        }
-    }
-}
+use std::collections::BTreeMap;
 
 /// One random layer per `kind`: kEP-pruned 3×3 (`kind` = 2..=5), 1×1
 /// pruned by Algorithm 3 (0), 1×1 with scattered zeros (1), unpruned
@@ -139,6 +55,73 @@ fn layer(kind: usize, o: usize, i: usize, seed: u64) -> Tensor {
     }
 }
 
+/// Asserts `pack` is the walk of `w` described in the module docs;
+/// `shared` says whether kernels of one mask must share their offset
+/// slice (pattern view) or each own one (COO view).
+fn assert_is_the_dense_walk(pack: &Pack, w: &Tensor, shared: bool) {
+    let (o, i, k) = (w.shape()[0], w.shape()[1], w.shape()[2]);
+    // Where each distinct mask's offsets live in the pack.
+    type Taps = Vec<(u8, u8)>;
+    let mut slice_of: BTreeMap<Taps, Vec<*const (u8, u8)>> = BTreeMap::new();
+    let mut kernels = 0;
+    for oc in 0..o {
+        let mut packed = pack.oc_kernels(oc);
+        for ic in 0..i {
+            let cells: Vec<((u8, u8), f32)> = (0..k * k)
+                .map(|ci| {
+                    (
+                        ((ci / k) as u8, (ci % k) as u8),
+                        w.at(&[oc, ic, ci / k, ci % k]),
+                    )
+                })
+                .filter(|&(_, v)| v != 0.0)
+                .collect();
+            if cells.is_empty() {
+                continue; // fully pruned kernels are not stored
+            }
+            let (got_ic, taps, vals) = packed.next().expect("a stored kernel");
+            assert_eq!(got_ic, ic, "oc {oc}");
+            let want_taps: Taps = cells.iter().map(|&(at, _)| at).collect();
+            assert_eq!(taps, want_taps, "kernel ({oc},{ic})");
+            let bits = |vs: &mut dyn Iterator<Item = f32>| vs.map(f32::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&mut vals.iter().copied()),
+                bits(&mut cells.iter().map(|&(_, v)| v)),
+                "kernel ({oc},{ic})"
+            );
+            slice_of.entry(want_taps).or_default().push(taps.as_ptr());
+            kernels += 1;
+        }
+        assert!(
+            packed.next().is_none(),
+            "oc {oc} packs a kernel the weight lacks"
+        );
+    }
+    assert_eq!(pack.kernel_count(), kernels);
+    assert_eq!(pack.stored_weights(), w.numel() - w.count_zeros());
+    let mut slices: Vec<*const (u8, u8)> = Vec::new();
+    for (mask, users) in &slice_of {
+        if shared {
+            assert!(
+                users.iter().all(|&p| p == users[0]),
+                "mask {mask:?} stored twice"
+            );
+            slices.push(users[0]);
+        } else {
+            slices.extend(users);
+        }
+    }
+    let distinct = slices.len();
+    slices.sort_unstable();
+    slices.dedup();
+    assert_eq!(
+        slices.len(),
+        distinct,
+        "two masks or two runs share an offset slice"
+    );
+    assert_eq!(pack.pattern_count(), distinct);
+}
+
 /// The same group with its kernels (coordinates and value chunks
 /// together) in a random order: sorted by random keys.
 fn shuffled(g: &PatternGroup, seed: u64) -> PatternGroup {
@@ -161,23 +144,11 @@ fn rebuilt(pc: &PatternCompressedConv, groups: Vec<PatternGroup>) -> PatternComp
     )
 }
 
-fn assert_matches_reference(pc: &PatternCompressedConv) {
-    let want = reference::from_groups(
-        pc.out_channels(),
-        pc.in_channels(),
-        pc.kernel_size(),
-        pc.stride(),
-        pc.padding(),
-        pc.groups(),
-    );
-    assert_eq!(format!("{:?}", pc.pack()), format!("{want:?}"));
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn pack_is_independent_of_kernel_order_and_equals_the_staging_builder(
+    fn pack_is_the_dense_walk_whatever_the_kernel_order_in_a_group(
         kind in 0usize..8,
         o in 1usize..12,
         i in 1usize..10,
@@ -187,8 +158,10 @@ proptest! {
         let w = layer(kind, o, i, 0xC0DE ^ seed);
         let pad = w.shape()[2] / 2;
         let pc = PatternCompressedConv::from_dense(&w, stride, pad).unwrap();
-        assert_matches_reference(&pc);
-        prop_assert_eq!(pc.pack().to_dense().as_slice(), w.as_slice());
+        assert_is_the_dense_walk(pc.pack(), &w, true);
+        let un = UnstructuredSparseConv::from_dense(&w, stride, pad).unwrap();
+        assert_is_the_dense_walk(un.pack(), &w, false);
+        prop_assert_eq!(pc.to_dense().as_slice(), w.as_slice());
 
         let groups: Vec<PatternGroup> = pc
             .groups()
@@ -197,13 +170,8 @@ proptest! {
             .map(|(gi, g)| shuffled(g, seed ^ 0x5AFE ^ (gi as u64) << 32))
             .collect();
         let again = rebuilt(&pc, groups);
-        assert_matches_reference(&again);
+        prop_assert!(again.validate().is_empty());
         prop_assert_eq!(again.pack(), pc.pack(), "kind {} {}x{} seed {}", kind, o, i, seed);
-
-        for oc in 0..o {
-            let ics: Vec<usize> = pc.pack().oc_kernels(oc).map(|(ic, _, _)| ic).collect();
-            prop_assert!(ics.windows(2).all(|w| w[0] < w[1]), "oc {}: {:?}", oc, ics);
-        }
     }
 
     #[test]
@@ -218,7 +186,7 @@ proptest! {
         // Re-store kernel (oc, ic) of every group's first member: once
         // more at the end of its own group and once in every later
         // group, each copy tagged by its value.
-        let mut groups = pc.groups().to_vec();
+        let mut groups = pc.groups();
         let (oc, ic) = groups[0].coords[0];
         let mut tag = 100.0f32;
         let mut want: Vec<Vec<f32>> = Vec::new();
@@ -234,7 +202,6 @@ proptest! {
         }
         let dup = rebuilt(&pc, groups);
         prop_assert!(dup.validate().iter().any(|v| v.code == "RV011"));
-        assert_matches_reference(&dup);
         let got: Vec<Vec<f32>> = dup
             .pack()
             .oc_kernels(oc as usize)
@@ -246,8 +213,8 @@ proptest! {
 }
 
 #[test]
-fn out_of_range_kernels_match_the_staging_builder_too() {
-    // oc 9 is dropped; ic 7 (out of range) sorts after the valid ones.
+fn out_of_range_kernels_are_kept_out_of_the_way() {
+    // oc 9 is never run; ic 7 (out of range) sorts after the valid ones.
     let groups = vec![
         PatternGroup::from_kernels(
             vec![(0, 0), (1, 1)],
@@ -259,8 +226,20 @@ fn out_of_range_kernels_match_the_staging_builder_too() {
         ),
         PatternGroup::from_kernels(vec![(2, 2)], &[(0, 1, &[7.0]), (1, 1, &[8.0])]),
     ];
-    let pack = Pack::from_groups(2, 2, 3, 1, 1, &groups);
-    let want = reference::from_groups(2, 2, 3, 1, 1, &groups);
-    assert_eq!(format!("{pack:?}"), format!("{want:?}"));
+    let layer = PatternCompressedConv::from_parts(2, 2, 3, 1, 1, groups);
+    let pack = layer.pack();
     assert_eq!(pack.kernel_count(), 4);
+    let row = |oc| -> Vec<(usize, Vec<f32>)> {
+        let kernels = pack.oc_kernels(oc);
+        kernels.map(|(ic, _, vals)| (ic, vals.to_vec())).collect()
+    };
+    assert_eq!(row(0), vec![(1, vec![7.0])]);
+    assert_eq!(
+        row(1),
+        vec![(0, vec![5.0, 6.0]), (1, vec![8.0]), (7, vec![1.0, 2.0])]
+    );
+    assert!(row(9).is_empty());
+    // One finding for the input channel, one for the output channel.
+    let codes: Vec<&str> = layer.validate().iter().map(|v| v.code).collect();
+    assert_eq!(codes, ["RV011", "RV011"], "{:?}", layer.validate());
 }

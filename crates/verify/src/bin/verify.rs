@@ -60,10 +60,10 @@ fn check_one(label: &str, entry: EntryPattern, report: &mut Report) -> Result<()
             }),
     );
     // Kernel checks (RV090/RV092): per conv layer, both pack views
-    // reconstruct the weights and match the scalar reference through
-    // the tiled driver.
+    // reconstruct the graph's masked weight and match the scalar
+    // reference through the tiled driver.
     report.extend(
-        rtoss_verify::check_model_kernels(&engine)
+        rtoss_verify::check_model_kernels(&engine, &model.graph)
             .diagnostics
             .into_iter()
             .map(|mut d| {

@@ -863,20 +863,21 @@ pub fn flight_dump_fixture() -> Report {
     crate::telemetry::check_flight_dump("fixture dump (trigger outside window)", &dump)
 }
 
-/// A pruned 3x3 layer for the kernel-family fixtures: real pattern
-/// groups and a non-trivial pack.
-fn kernel_fixture_layer() -> PatternCompressedConv {
+/// A pruned 3x3 weight and its compressed layer for the kernel-family
+/// fixtures: real shared patterns and a non-trivial pack.
+fn kernel_fixture_layer() -> (Tensor, PatternCompressedConv) {
     let mut w = init::uniform(&mut init::rng(0x90), &[6, 4, 3, 3], -1.0, 1.0);
     let set = canonical_set(3).expect("canonical 3-entry set");
     rtoss_core::prune3x3::prune_3x3_weights(&mut w, &set).expect("prunes");
-    PatternCompressedConv::from_dense(&w, 1, 1).expect("compresses")
+    let layer = PatternCompressedConv::from_dense(&w, 1, 1).expect("compresses");
+    (w, layer)
 }
 
 /// Pack reconstruction: one value of a copy of the layer's pack gets a
-/// single-ulp flip, so the copy no longer rebuilds the layer's dense
-/// weights (RV090).
+/// single-ulp flip, so the copy no longer rebuilds the dense weight it
+/// was compiled from (RV090).
 pub fn kernel_pack_fixture() -> Report {
-    let layer = kernel_fixture_layer();
+    let (w, layer) = kernel_fixture_layer();
     let mut pack = layer.pack().clone();
     let vals = pack.values_mut();
     vals[0] = f32::from_bits(vals[0].to_bits() ^ 1);
@@ -885,7 +886,7 @@ pub fn kernel_pack_fixture() -> Report {
         "fixture layer (flipped pack value)",
         "pattern",
         &pack,
-        &layer.to_dense(),
+        &w,
     ));
     report
 }
@@ -894,7 +895,7 @@ pub fn kernel_pack_fixture() -> Report {
 /// COO pack is changed, so the tiled driver over it no longer agrees
 /// with the scalar reference on the intact layer (RV092).
 pub fn kernel_equiv_fixture() -> Report {
-    let layer = kernel_fixture_layer();
+    let (_, layer) = kernel_fixture_layer();
     let mut pack = rtoss_sparse::coo_from_pattern(&layer).pack().clone();
     pack.values_mut()[0] += 0.5;
     let mut report = Report::new();

@@ -2,16 +2,17 @@
 //! (RV090/RV092).
 //!
 //! Every conv runs through one tiled driver over one
-//! [`rtoss_sparse::Pack`]; `PatternCompressedConv` and
-//! `UnstructuredSparseConv` are storage formats that each build one.
-//! Two things can silently go wrong in that derived layout:
+//! [`rtoss_sparse::Pack`], the only copy of the layer's weights;
+//! `PatternCompressedConv` and `UnstructuredSparseConv` are typed views
+//! of one. Two things can silently go wrong on the way from the pruned
+//! graph to an output:
 //!
-//! - **RV090 — pack reconstruction.** The pack is *derived* data built
-//!   at load time. If packing drops, duplicates, or reorders a tap, the
-//!   driver computes a wrong convolution while the group-level
-//!   structures still validate. [`check_pack`] reconstructs a dense
-//!   weight tensor from the pack alone and requires it bitwise equal
-//!   to the owning layer's `to_dense()`.
+//! - **RV090 — pack reconstruction.** If building the pack drops,
+//!   duplicates, or misplaces a tap, the driver computes a wrong
+//!   convolution while the pack still validates structurally.
+//!   [`check_pack`] reconstructs a dense weight tensor from the pack
+//!   alone and requires it bitwise equal to the source it was built
+//!   from — for an engine, the graph's masked conv weight.
 //! - **RV092 — pack-vs-oracle bit-identity.** The driver and the scalar
 //!   reference share one canonical accumulation order (bias first, then
 //!   taps in ascending `(ic, ky, kx)`), so a layer's pattern pack and
@@ -24,14 +25,15 @@
 //! fire.
 
 use crate::diag::{Diagnostic, Report};
+use rtoss_nn::{Graph, NodeOp};
 use rtoss_sparse::exec::{conv2d_packed_into, conv2d_pattern_scalar_into_with};
 use rtoss_sparse::{coo_from_pattern, ExecConfig, Pack, PatternCompressedConv, SparseModel};
 use rtoss_tensor::exec::Epilogue;
 use rtoss_tensor::Tensor;
 
 /// Checks pack reconstruction (RV090): `pack` (the `kind` view of some
-/// layer) must rebuild exactly `direct`, the dense weight tensor the
-/// layer's own storage describes.
+/// layer) must rebuild exactly `direct`, the dense weight tensor it was
+/// compiled from.
 pub fn check_pack(location: &str, kind: &str, pack: &Pack, direct: &Tensor) -> Vec<Diagnostic> {
     let packed = pack.to_dense();
     let mut out = Vec::new();
@@ -40,7 +42,7 @@ pub fn check_pack(location: &str, kind: &str, pack: &Pack, direct: &Tensor) -> V
             "RV090",
             location,
             format!(
-                "{kind} pack reconstructs shape {:?} but the layer is {:?}",
+                "{kind} pack reconstructs shape {:?} but its source weight is {:?}",
                 packed.shape(),
                 direct.shape()
             ),
@@ -64,9 +66,9 @@ pub fn check_pack(location: &str, kind: &str, pack: &Pack, direct: &Tensor) -> V
             "RV090",
             location,
             format!(
-                "{kind} pack does not reconstruct the layer's weights: {diffs} of {} \
-                 elements differ (first at flat index {first}) — the pack is derived \
-                 data, so the driver reading it computes a wrong convolution",
+                "{kind} pack does not reconstruct its source weight: {diffs} of {} \
+                 elements differ (first at flat index {first}) — the driver reading \
+                 it computes a wrong convolution",
                 direct.as_slice().len()
             ),
         ));
@@ -167,15 +169,32 @@ pub fn check_packs_match_scalar(
 
 /// Runs RV090 and RV092 over every conv layer of an engine, on both
 /// views: the layer's own pattern pack and the COO pack of its derived
-/// unstructured twin. The RV092 probe is a 10×10 plane (ragged in both
-/// tile axes) with the layer's input channels.
-pub fn check_model_kernels(model: &SparseModel) -> Report {
+/// unstructured twin. RV090 compares each against the masked conv
+/// weight of `graph`, the graph the engine was compiled from; the RV092
+/// probe is a 10×10 plane (ragged in both tile axes) with the layer's
+/// input channels.
+pub fn check_model_kernels(model: &SparseModel, graph: &Graph) -> Report {
     let mut report = Report::new();
     for (node, layer) in model.conv_layers() {
         let loc = format!("node {node}");
         let coo = coo_from_pattern(layer);
-        report.extend(check_pack(&loc, "pattern", layer.pack(), &layer.to_dense()));
-        report.extend(check_pack(&loc, "coo", coo.pack(), &coo.to_dense()));
+        let source = graph.nodes().get(node).and_then(|n| match &n.op {
+            NodeOp::Layer(l) => l.as_conv2d(),
+            _ => None,
+        });
+        match source {
+            Some(conv) => {
+                let w = &conv.weight().value;
+                report.extend(check_pack(&loc, "pattern", layer.pack(), w));
+                report.extend(check_pack(&loc, "coo", coo.pack(), w));
+            }
+            None => report.push(Diagnostic::error(
+                "RV090",
+                loc.as_str(),
+                "the graph has no conv at this engine conv node: not the graph the \
+                 engine was compiled from",
+            )),
+        }
         report.extend(check_packs_match_scalar(
             &loc,
             layer,
@@ -191,23 +210,44 @@ mod tests {
     use super::*;
     use rtoss_core::{EntryPattern, Pruner, RTossPruner};
 
-    fn engine() -> SparseModel {
+    fn engine() -> (SparseModel, Graph) {
         let mut m = rtoss_models::yolov5s_twin(4, 2, 0x90).expect("twin builds");
         RTossPruner::new(EntryPattern::Two)
             .prune_graph(&mut m.graph)
             .expect("prunes");
-        SparseModel::compile(&m.graph).expect("compiles")
+        (SparseModel::compile(&m.graph).expect("compiles"), m.graph)
     }
 
     #[test]
     fn clean_engine_passes_all_kernel_checks() {
-        let report = check_model_kernels(&engine());
+        let (engine, graph) = engine();
+        let report = check_model_kernels(&engine, &graph);
         assert!(!report.has_errors(), "{}", report.render());
     }
 
     #[test]
+    fn a_graph_edited_after_compile_fires_rv090_on_both_views() {
+        let (engine, mut graph) = engine();
+        let (node, _) = engine.conv_layers()[0];
+        let w = &mut graph.conv_mut(node).expect("conv").weight_mut().value;
+        let kept = w
+            .as_slice()
+            .iter()
+            .position(|&v| v != 0.0)
+            .expect("a kept weight");
+        w.as_mut_slice()[kept] += 1.0;
+        let report = check_model_kernels(&engine, &graph);
+        let fired = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "RV090")
+            .count();
+        assert_eq!(fired, 2, "{}", report.render());
+    }
+
+    #[test]
     fn corrupted_pack_fires_rv090_and_rv092_on_either_view() {
-        let engine = engine();
+        let (engine, _) = engine();
         let (_, layer) = engine.conv_layers()[0];
         let coo = coo_from_pattern(layer);
         for (kind, pack) in [("pattern", layer.pack()), ("coo", coo.pack())] {

@@ -29,10 +29,10 @@
 //! | RV006 | model  | whole-graph shape inference succeeds |
 //! | RV007 | model  | mask shape matches weight; no weight survives a zero mask |
 //! | RV010 | sparse | pattern offsets sorted, in-bounds, distinct per layer |
-//! | RV011 | sparse | kernel coordinates in-bounds and unique, one value per offset per kernel |
-//! | RV012 | sparse | nnz bookkeeping consistent; no explicit zeros stored |
+//! | RV011 | sparse | kernel coordinates in-bounds and unique, one value per offset per kernel, every stored offset and value owned by a kernel |
+//! | RV012 | sparse | no explicit zeros stored |
 //! | RV013 | sparse | COO entries sorted, in-bounds, non-zero |
-//! | RV014 | sparse | dense reconstruction matches the nnz bookkeeping |
+//! | RV014 | sparse | every stored weight survives dense reconstruction |
 //! | RV020 | exec   | tile buckets partition the tile range |
 //! | RV021 | exec   | histogram boundaries strictly increasing, half-open |
 //! | RV030 | lint   | no panic-capable call in a hot path |
@@ -58,7 +58,7 @@
 //! | RV081 | telem  | admission windows conserved (`offered == admitted + throttled + shed`) per window, per lane, and against the fleet ledger |
 //! | RV082 | telem  | burn-rate policies valid; alert log time-ordered, firing/resolved alternating, transitions respect the hysteresis band |
 //! | RV083 | telem  | flight dump well-formed: parses, bounded by capacity, entries sorted, `[first, last]` window covers the trigger |
-//! | RV090 | kernel | the `Pack` (pattern view and COO view) reconstructs the layer's dense weights bitwise |
+//! | RV090 | kernel | the `Pack` (pattern view and COO view) reconstructs the graph's masked conv weight it was compiled from, bitwise |
 //! | RV092 | kernel | pattern pack and COO pack through the tiled driver bit-identical to the scalar reference |
 //!
 //! Severity is always `Error` for registry violations; artifacts with

@@ -1,95 +1,69 @@
 //! Sparse-format checks over compiled artifacts (RV010–RV014).
 //!
-//! The cheap O(nnz) structural rules live next to the formats
-//! themselves ([`PatternCompressedConv::validate`],
+//! The cheap O(nnz) structural rules live next to the pack they check
+//! ([`PatternCompressedConv::validate`],
 //! [`UnstructuredSparseConv::validate`]) so the executors can assert
 //! them in debug builds; this module lifts those findings into
-//! [`Diagnostic`]s and adds the expensive cross-checks a pre-flight
-//! pass can afford: reconstructing the dense tensor and proving the
-//! stored-weight bookkeeping against it (RV012/RV014).
+//! [`Diagnostic`]s and adds the cross-check a pre-flight pass can
+//! afford: reconstructing the dense tensor and counting what survives
+//! (RV014).
 
 use crate::diag::{Diagnostic, Report};
-use rtoss_sparse::{PatternCompressedConv, SparseModel, UnstructuredSparseConv};
+use rtoss_sparse::{
+    FormatViolation, Pack, PatternCompressedConv, SparseModel, UnstructuredSparseConv,
+};
 
 /// Wraps a format-level violation into a diagnostic.
-fn lift(location: &str, v: &rtoss_sparse::FormatViolation) -> Diagnostic {
+fn lift(location: &str, v: &FormatViolation) -> Diagnostic {
     Diagnostic::error(v.code, location, v.message.clone())
 }
 
-/// Checks one pattern-compressed layer: structural rules, then — if
-/// those pass — dense reconstruction against the nnz bookkeeping.
+/// RV014: every stored weight must survive dense reconstruction. A
+/// duplicated kernel, an out-of-range coordinate or a stored zero (each
+/// already its own RV01x finding) loses weights on the way; this says
+/// how many.
+fn check_reconstruction(location: &str, pack: &Pack) -> Option<Diagnostic> {
+    let dense = pack.to_dense();
+    let nnz = dense.as_slice().iter().filter(|&&v| v != 0.0).count();
+    (nnz != pack.stored_weights()).then(|| {
+        Diagnostic::error(
+            "RV014",
+            location,
+            format!(
+                "dense reconstruction has {nnz} non-zeros but the layer stores {} weights",
+                pack.stored_weights()
+            ),
+        )
+    })
+}
+
+/// One layer's findings: its view's structural rules, lifted, then
+/// dense reconstruction against the stored-weight count.
+fn check_layer(location: &str, violations: &[FormatViolation], pack: &Pack) -> Vec<Diagnostic> {
+    let mut out: Vec<Diagnostic> = violations.iter().map(|v| lift(location, v)).collect();
+    out.extend(check_reconstruction(location, pack));
+    out
+}
+
+/// Checks one pattern-compressed layer (RV010–RV012, RV014).
 pub fn check_pattern_layer(location: &str, layer: &PatternCompressedConv) -> Vec<Diagnostic> {
-    let mut out: Vec<Diagnostic> = layer.validate().iter().map(|v| lift(location, v)).collect();
-    if !out.is_empty() {
-        // Reconstruction on a structurally broken layer could index out
-        // of bounds; the structural findings already block execution.
-        return out;
-    }
-    let dense = layer.to_dense();
-    let nnz = dense.as_slice().iter().filter(|&&v| v != 0.0).count();
-    if nnz != layer.stored_weights() {
-        out.push(Diagnostic::error(
-            "RV014",
-            location,
-            format!(
-                "dense reconstruction has {nnz} non-zeros but the layer claims to \
-                 store {} weights",
-                layer.stored_weights()
-            ),
-        ));
-    }
-    let expected = layer.out_channels() * layer.in_channels() * layer.kernel_size().pow(2);
-    if dense.numel() != expected {
-        out.push(Diagnostic::error(
-            "RV014",
-            location,
-            format!(
-                "dense reconstruction has {} elements, geometry implies {expected}",
-                dense.numel()
-            ),
-        ));
-    }
-    out
+    check_layer(location, &layer.validate(), layer.pack())
 }
 
-/// Checks one unstructured (COO) layer the same way.
+/// Checks one unstructured (COO) layer the same way (RV013, RV014).
 pub fn check_unstructured_layer(location: &str, layer: &UnstructuredSparseConv) -> Vec<Diagnostic> {
-    let mut out: Vec<Diagnostic> = layer.validate().iter().map(|v| lift(location, v)).collect();
-    if !out.is_empty() {
-        return out;
-    }
-    let dense = layer.to_dense();
-    let nnz = dense.as_slice().iter().filter(|&&v| v != 0.0).count();
-    if nnz != layer.entries().len() {
-        out.push(Diagnostic::error(
-            "RV014",
-            location,
-            format!(
-                "dense reconstruction has {nnz} non-zeros but the COO layer stores \
-                 {} entries",
-                layer.entries().len()
-            ),
-        ));
-    }
-    out
+    check_layer(location, &layer.validate(), layer.pack())
 }
 
-/// Runs the sparse checks over every conv layer of a compiled engine,
-/// including the engine-level stored-weight roll-up.
+/// Runs the sparse checks over every conv layer of a compiled engine.
 pub fn check_sparse_model(model: &SparseModel) -> Report {
     let mut report = Report::new();
-    // Engine-level pass (cheap structural rules + nnz roll-up).
+    // Engine-level pass (cheap structural rules).
     report.extend(model.verify().iter().map(|v| lift("sparse engine", v)));
     // Deep per-layer reconstruction.
     for (node, layer) in model.conv_layers() {
         let loc = format!("sparse conv node {node}");
-        for d in check_pattern_layer(&loc, layer) {
-            if d.code == "RV014" {
-                // Structural findings were already lifted by verify();
-                // only the reconstruction findings are new here.
-                report.push(d);
-            }
-        }
+        report.extend(check_reconstruction(&loc, layer.pack()));
     }
     report
 }
@@ -145,5 +119,35 @@ mod tests {
         );
         let ds = check_pattern_layer("bad", &pc);
         assert!(ds.iter().any(|d| d.code == "RV010"), "{ds:?}");
+    }
+
+    #[test]
+    fn weights_lost_in_reconstruction_surface_as_rv014() {
+        // The same kernel twice: one copy overwrites the other.
+        let pc = PatternCompressedConv::from_parts(
+            1,
+            1,
+            3,
+            1,
+            1,
+            vec![rtoss_sparse::PatternGroup::from_kernels(
+                vec![(0, 0), (0, 1)],
+                &[(0, 0, &[1.0, 2.0]), (0, 0, &[3.0, 4.0])],
+            )],
+        );
+        let ds = check_pattern_layer("dup", &pc);
+        assert!(ds.iter().any(|d| d.code == "RV011"), "{ds:?}");
+        assert!(ds.iter().any(|d| d.code == "RV014"), "{ds:?}");
+        let un = UnstructuredSparseConv::from_entries(
+            1,
+            1,
+            3,
+            1,
+            1,
+            vec![(0, 0, 0, 0, 1.0), (4, 0, 0, 0, 2.0)],
+        );
+        let ds = check_unstructured_layer("stray", &un);
+        assert!(ds.iter().any(|d| d.code == "RV013"), "{ds:?}");
+        assert!(ds.iter().any(|d| d.code == "RV014"), "{ds:?}");
     }
 }

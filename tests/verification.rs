@@ -126,7 +126,7 @@ proptest! {
         prop_assert!(check_pattern_layer("clean", &pc).is_empty());
         // Rebuild with the first group's first offset pushed out of
         // bounds: (ky, kx) -> (ky + bump, kx) with bump >= 3.
-        let mut groups = pc.groups().to_vec();
+        let mut groups = pc.groups();
         if groups.is_empty() || groups[0].offsets.is_empty() {
             continue; // vendored proptest: skip-case in place of prop_assume
         }
@@ -154,7 +154,7 @@ proptest! {
         let w = pruned_weight(4, 3, k, seed);
         let un = UnstructuredSparseConv::from_dense(&w, 1, 1).expect("builds");
         prop_assert!(check_unstructured_layer("clean", &un).is_empty());
-        let mut entries = un.entries().to_vec();
+        let mut entries = un.entries();
         if entries.is_empty() {
             continue;
         }

@@ -2,13 +2,16 @@
 //!
 //! `SparseModel::compile`, `verify()` and `check_model` walk every
 //! weight of the model; they must do so over flat arrays, allocating
-//! per layer and per pattern group, never per kernel. A counting
+//! per layer and per distinct pattern, never per kernel. A counting
 //! allocator makes that an assertion: quadrupling the kernel count
-//! (twin width 8 → 16, same layers) must not even double the
-//! allocations, and the total stays under a fixed budget per pattern
-//! group. The two per-kernel primitives of the pruner and the checker
-//! — `PatternSet::best_for` and `Pattern::is_connected` — allocate
-//! nothing at all.
+//! (twin width 8 → 16, same layers) must add next to nothing to the
+//! allocations, and the total stays under a fixed budget per pattern.
+//! With the pack as the only copy of a layer's weights the three calls
+//! make 934 allocations at either width (4,665 and 18,495 kernels, 93
+//! patterns); with pattern groups stored beside the pack they made
+//! 1,778 and 2,144. The two per-kernel primitives of the pruner and
+//! the checker — `PatternSet::best_for` and `Pattern::is_connected` —
+//! allocate nothing at all.
 
 #[path = "../crates/obs/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -51,12 +54,12 @@ fn compile_verify_check_allocate_per_group_not_per_kernel() {
         "width 16 should pack about 4x the kernels: {narrow_kernels} -> {wide_kernels}"
     );
     assert!(
-        wide < 2 * narrow,
+        wide <= narrow + narrow / 8,
         "allocations grew with the kernel count: {narrow} at width 8, {wide} at width 16 \
          ({narrow_kernels} -> {wide_kernels} kernels)"
     );
     assert!(
-        wide < 64 * wide_groups as u64,
+        wide < 16 * wide_groups as u64,
         "{wide} allocations for {wide_groups} pattern groups ({wide_kernels} kernels)"
     );
 }
