@@ -10,7 +10,7 @@
 //! unstructured sparsity does not.
 //!
 //! ```text
-//! fig6 [--threads N] [--verify] [--no-plan]
+//! fig6 [--threads N] [--verify]
 //! ```
 //!
 //! `--threads` sets the intra-op tile-parallelism of the measured CPU
@@ -18,9 +18,7 @@
 //! `--verify` runs the rtoss-verify static checks over every pruned
 //! artifact about to be timed and refuses to benchmark (exit 1) if any
 //! invariant is violated — a broken model would produce a fast but
-//! meaningless number. `--no-plan` times the end-to-end model series
-//! through the per-call graph interpreter instead of the compiled
-//! execution plan (the pre-plan baseline).
+//! meaningless number.
 
 use rtoss_bench::{print_table, run_roster};
 use rtoss_core::baselines::MagnitudePruner;
@@ -139,9 +137,9 @@ fn measured_cpu_series(exec: &ExecConfig) {
 /// End-to-end measured series: the compiled sparse engine on the
 /// unpruned vs pruned twin (same executor, so the speedup isolates the
 /// work the pruning actually removes — the paper's BM-relative framing).
-fn measured_model_series(exec: &ExecConfig, planning: bool) {
+fn measured_model_series(exec: &ExecConfig) {
     use rtoss_core::{EntryPattern, Pruner, RTossPruner};
-    use rtoss_sparse::runtime::measure_model_planning;
+    use rtoss_sparse::runtime::measure_model_with;
     let x = init::uniform(&mut init::rng(10), &[1, 3, 64, 64], 0.0, 1.0);
     let time_engine = |entry: Option<EntryPattern>| -> (f64, f64) {
         let mut m = rtoss_models::yolov5s_twin(16, 3, 42).expect("twin builds");
@@ -150,8 +148,7 @@ fn measured_model_series(exec: &ExecConfig, planning: bool) {
                 .prune_graph(&mut m.graph)
                 .expect("pruning succeeds");
         }
-        let t =
-            measure_model_planning(&mut m.graph, &x, 5, exec, planning).expect("timing succeeds");
+        let t = measure_model_with(&mut m.graph, &x, 5, exec).expect("timing succeeds");
         (t.dense_s, t.sparse_s)
     };
     let (_, bm_engine) = time_engine(None);
@@ -168,22 +165,16 @@ fn measured_model_series(exec: &ExecConfig, planning: bool) {
             format!("{:.2}x", bm_engine / t),
         ]);
     }
-    let title = if planning {
-        "Fig. 6 (measured end-to-end): YOLOv5s twin through the sparse engine"
-    } else {
-        "Fig. 6 (measured end-to-end, --no-plan interpreter): YOLOv5s twin through the sparse engine"
-    };
     print_table(
-        title,
+        "Fig. 6 (measured end-to-end): YOLOv5s twin through the sparse engine",
         &["Pruning", "engine latency", "speedup vs BM"],
         &rows,
     );
 }
 
-fn parse_args() -> (ExecConfig, bool, bool) {
+fn parse_args() -> (ExecConfig, bool) {
     let mut exec = ExecConfig::default();
     let mut verify = false;
-    let mut planning = true;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -199,16 +190,13 @@ fn parse_args() -> (ExecConfig, bool, bool) {
                 exec = ExecConfig::with_threads(n);
             }
             "--verify" => verify = true,
-            "--no-plan" => planning = false,
             other => {
-                eprintln!(
-                    "fig6: unknown flag {other}\nusage: fig6 [--threads N] [--verify] [--no-plan]"
-                );
+                eprintln!("fig6: unknown flag {other}\nusage: fig6 [--threads N] [--verify]");
                 std::process::exit(2);
             }
         }
     }
-    (exec, verify, planning)
+    (exec, verify)
 }
 
 /// Pre-flight: statically verify every artifact this harness is about
@@ -250,7 +238,7 @@ fn preflight(exec: &ExecConfig) {
 }
 
 fn main() {
-    let (exec, verify, planning) = parse_args();
+    let (exec, verify) = parse_args();
     if verify {
         preflight(&exec);
     }
@@ -269,7 +257,7 @@ fn main() {
     eprintln!("measured CPU series ({} threads)...", exec.threads);
     measured_cpu_series(&exec);
     eprintln!("measured end-to-end model series...");
-    measured_model_series(&exec, planning);
+    measured_model_series(&exec);
     println!(
         "\nShape check: R-TOSS (2EP) is the fastest on both platforms, as in\n\
          the paper. The measured CPU series confirms that pattern pruning's\n\

@@ -227,11 +227,7 @@ fn build_tier(entry: Option<EntryPattern>, seed: u64) -> Arc<dyn ServeModel> {
             .prune_graph(&mut model.graph)
             .expect("prunes");
     }
-    Arc::new(
-        SparseModel::compile(&model.graph)
-            .expect("compiles")
-            .with_planning(true),
-    )
+    Arc::new(SparseModel::compile(&model.graph).expect("compiles"))
 }
 
 /// Effective mean single-frame service time of `model`, milliseconds,

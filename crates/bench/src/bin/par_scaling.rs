@@ -8,14 +8,12 @@
 //!
 //! ```text
 //! par_scaling [--reps N] [--image N] [--channels N] [--out-dir PATH]
-//!             [--verify] [--no-plan]
+//!             [--verify]
 //! ```
 //!
 //! `--verify` statically checks the pruned weights (compressed form)
 //! and the tile partition for every swept thread count before timing,
 //! exiting non-zero instead of benchmarking an ill-formed layer.
-//! `--no-plan` runs the end-to-end engine column through the per-call
-//! graph interpreter instead of the compiled execution plan.
 //!
 //! Speedups are relative to the 1-thread run of the same executor, so
 //! the table reads directly as parallel efficiency. The layer columns
@@ -63,9 +61,6 @@ struct ScalingReport {
     reps: u64,
     /// Cores the host actually has (`available_parallelism`).
     host_cores: u64,
-    /// Whether the engine column ran through compiled execution plans
-    /// (`false` = `--no-plan` interpreter baseline).
-    plan: bool,
     /// Non-empty on single-core hosts: the sweep measures the overhead
     /// ceiling of the parallel paths, not their speedup. Recorded in
     /// the JSON (not just the text table) so downstream consumers
@@ -81,7 +76,6 @@ struct Args {
     channels: usize,
     out_dir: String,
     verify: bool,
-    plan: bool,
 }
 
 fn parse_args() -> Args {
@@ -91,13 +85,12 @@ fn parse_args() -> Args {
         channels: 64,
         out_dir: "results".to_string(),
         verify: false,
-        plan: true,
     };
     fn usage_error(msg: &str) -> ! {
         eprintln!("par_scaling: {msg}");
         eprintln!(
             "usage: par_scaling [--reps N] [--image N] [--channels N] [--out-dir PATH] \
-             [--verify] [--no-plan]"
+             [--verify]"
         );
         std::process::exit(2);
     }
@@ -117,7 +110,6 @@ fn parse_args() -> Args {
             "--channels" => args.channels = number(&flag, &value()),
             "--out-dir" => args.out_dir = value(),
             "--verify" => args.verify = true,
-            "--no-plan" => args.plan = false,
             other => usage_error(&format!("unknown flag {other}")),
         }
     }
@@ -179,14 +171,12 @@ fn main() {
     }
 
     // End-to-end column: the 3EP-pruned YOLOv5s twin through the
-    // compiled engine (planned by default, interpreter with --no-plan).
+    // compiled engine's execution plan.
     let mut twin = rtoss_models::yolov5s_twin(8, 2, 42).expect("twin builds");
     RTossPruner::new(EntryPattern::Three)
         .prune_graph(&mut twin.graph)
         .expect("prunes");
-    let engine = rtoss_sparse::SparseModel::compile(&twin.graph)
-        .expect("compiles")
-        .with_planning(args.plan);
+    let engine = rtoss_sparse::SparseModel::compile(&twin.graph).expect("compiles");
     let x_model = init::uniform(&mut init::rng(9), &[1, 3, args.image, args.image], 0.0, 1.0);
 
     let mut rows = Vec::new();
@@ -239,11 +229,7 @@ fn main() {
             ]
         })
         .collect();
-    let engine_col = if args.plan {
-        "3EP twin (plan)"
-    } else {
-        "3EP twin (interp)"
-    };
+    let engine_col = "3EP twin (plan)";
     let title =
         format!("Tiled-executor thread scaling (speedup vs 1 thread; host: {host_cores} core(s))");
     print_table(
@@ -265,7 +251,6 @@ fn main() {
         channels: args.channels as u64,
         reps: args.reps as u64,
         host_cores: host_cores as u64,
-        plan: args.plan,
         caveat,
         rows,
     };

@@ -11,7 +11,7 @@
 //! ```text
 //! serve_bench [--qps N] [--requests N] [--seed N] [--workers N]
 //!             [--max-batch N] [--deadline-ms N] [--image N]
-//!             [--threads N] [--out PATH] [--verify] [--no-plan]
+//!             [--threads N] [--out PATH] [--verify]
 //!             [--burst F] [--trace-out PATH] [--events-out PATH]
 //!             [--prom-out PATH]
 //! ```
@@ -24,10 +24,8 @@
 //! (defaults to `RTOSS_THREADS` or the machine's core count).
 //! `--verify` statically checks each pruned graph and compiled engine
 //! with rtoss-verify before serving it, and exits non-zero instead of
-//! reporting numbers from an ill-formed model. By default every engine
-//! serves through compiled execution plans prewarmed for each
-//! micro-batch size; `--no-plan` serves through the per-call graph
-//! interpreter instead (the pre-plan baseline, useful for A/B runs).
+//! reporting numbers from an ill-formed model. Every engine serves
+//! through compiled execution plans prewarmed for each micro-batch size.
 //!
 //! The observability flags turn tracing on programmatically (no
 //! `RTOSS_TRACE=1` needed) and export the run: `--trace-out` writes a
@@ -86,9 +84,6 @@ struct ServeBenchReport {
     image: u64,
     /// Intra-op threads per forward pass.
     threads: u64,
-    /// Whether engines served through compiled execution plans
-    /// (`false` = `--no-plan` interpreter baseline).
-    plan: bool,
     /// Arrival burstiness factor (1 = plain Poisson; >1 = on/off
     /// Markov-modulated arrivals at the same mean rate).
     burst: f64,
@@ -107,7 +102,6 @@ struct Args {
     threads: usize,
     out: String,
     verify: bool,
-    plan: bool,
     burst: f64,
     trace_out: Option<String>,
     events_out: Option<String>,
@@ -126,7 +120,6 @@ fn parse_args() -> Args {
         threads: rtoss_tensor::exec::default_threads(),
         out: "results/serve/serve_bench.json".to_string(),
         verify: false,
-        plan: true,
         burst: 1.0,
         trace_out: None,
         events_out: None,
@@ -137,7 +130,7 @@ fn parse_args() -> Args {
         eprintln!(
             "usage: serve_bench [--qps N] [--requests N] [--seed N] [--workers N] \
              [--max-batch N] [--deadline-ms N] [--image N] [--threads N] [--out PATH] \
-             [--verify] [--no-plan] [--burst F] [--trace-out PATH] [--events-out PATH] \
+             [--verify] [--burst F] [--trace-out PATH] [--events-out PATH] \
              [--prom-out PATH]"
         );
         std::process::exit(2);
@@ -163,7 +156,6 @@ fn parse_args() -> Args {
             "--threads" => args.threads = number(&flag, &value()),
             "--out" => args.out = value(),
             "--verify" => args.verify = true,
-            "--no-plan" => args.plan = false,
             "--burst" => args.burst = number(&flag, &value()),
             "--trace-out" => args.trace_out = Some(value()),
             "--events-out" => args.events_out = Some(value()),
@@ -190,11 +182,7 @@ fn serve_variant(mode: &str, entry: Option<EntryPattern>, args: &Args) -> ModeRo
         ),
     };
     let workload = workload_for(&model, &report, structure);
-    let engine = Arc::new(
-        SparseModel::compile(&model.graph)
-            .expect("compiles")
-            .with_planning(args.plan),
-    );
+    let engine = Arc::new(SparseModel::compile(&model.graph).expect("compiles"));
     if args.verify {
         // Refuse to serve (and time) an ill-formed artifact: a broken
         // mask or sparse layer would report meaningless latencies.
@@ -223,8 +211,7 @@ fn serve_variant(mode: &str, entry: Option<EntryPattern>, args: &Args) -> ModeRo
             }),
             exec: ExecConfig::with_threads(args.threads),
             // Compile plans for every micro-batch size up front so the
-            // workers never plan on the request path (no-op under
-            // --no-plan, where the engine interprets per call).
+            // workers never plan on the request path.
             prewarm: Some(vec![1, 3, args.image, args.image]),
         },
     );
@@ -302,9 +289,6 @@ fn main() {
         args.deadline_ms,
         args.threads
     );
-    if !args.plan {
-        println!("(--no-plan: serving through the per-call interpreter, no compiled plans)\n");
-    }
 
     let variants: [(&str, Option<EntryPattern>); 4] = [
         ("dense", None),
@@ -352,7 +336,6 @@ fn main() {
         max_batch: args.max_batch as u64,
         image: args.image as u64,
         threads: args.threads as u64,
-        plan: args.plan,
         burst: args.burst,
         rows,
     };

@@ -199,12 +199,6 @@ impl ServeModel for TieredEngine {
             })
             .max()
     }
-
-    fn plans(&self) -> bool {
-        self.tiers
-            .iter()
-            .any(|t| t.model.read().unwrap_or_else(|e| e.into_inner()).plans())
-    }
 }
 
 #[cfg(test)]

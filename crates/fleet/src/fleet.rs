@@ -156,7 +156,7 @@ impl Fleet {
     /// panic-isolated worker pool.
     ///
     /// `serve.exec.threads` is passed through unchanged to every
-    /// replica: for planned models it is the graph-level width of the
+    /// replica: for sparse engines it is the graph-level width of the
     /// levelled plan scheduler (bit-identical at every width), so the
     /// old planned-path `threads=1` clamp — a workaround for the
     /// since-fixed par_scaling collapse (0.09x at 8 threads) — is gone.
@@ -289,7 +289,7 @@ impl Fleet {
         &self.ring
     }
 
-    /// Execution threads each replica runs with — for planned models,
+    /// Execution threads each replica runs with — for sparse engines,
     /// the graph-level width of the plan scheduler. Always the
     /// configured value; the fleet no longer clamps it.
     pub fn exec_threads(&self) -> usize {
@@ -687,7 +687,6 @@ mod tests {
 
     struct Echo {
         delay: Duration,
-        planned: bool,
     }
 
     impl ServeModel for Echo {
@@ -697,17 +696,10 @@ mod tests {
             }
             Ok(vec![batch.clone()])
         }
-
-        fn plans(&self) -> bool {
-            self.planned
-        }
     }
 
     fn echo(delay: Duration) -> Arc<dyn ServeModel> {
-        Arc::new(Echo {
-            delay,
-            planned: false,
-        })
+        Arc::new(Echo { delay })
     }
 
     fn tiers(delay: Duration) -> Vec<(TierSpec, Arc<dyn ServeModel>)> {
@@ -854,47 +846,31 @@ mod tests {
     }
 
     #[test]
-    fn planned_models_keep_configured_threads() {
-        // The old planned-path guard clamped threads to 1 around the
-        // par_scaling collapse; with the levelled plan scheduler the
-        // configured width must survive for planned and unplanned
-        // models alike.
-        let planned: Vec<(TierSpec, Arc<dyn ServeModel>)> = vec![(
-            TierSpec::new("dense", 75.0),
-            Arc::new(Echo {
-                delay: Duration::ZERO,
-                planned: true,
-            }) as _,
-        )];
-        let fleet = Fleet::start(
-            planned,
-            FleetConfig {
-                replicas: 1,
-                serve: ServeConfig {
-                    exec: ExecConfig::with_threads(8),
-                    ..ServeConfig::default()
+    fn replicas_keep_configured_threads() {
+        // The configured width reaches every replica unchanged: the
+        // fleet must not clamp the plan scheduler's graph-level width.
+        for (threads, tiers) in [
+            (
+                8,
+                vec![(TierSpec::new("dense", 75.0), echo(Duration::ZERO))],
+            ),
+            (4, tiers(Duration::ZERO)),
+        ] {
+            let fleet = Fleet::start(
+                tiers,
+                FleetConfig {
+                    replicas: 1,
+                    serve: ServeConfig {
+                        exec: ExecConfig::with_threads(threads),
+                        ..ServeConfig::default()
+                    },
+                    controller: None,
+                    ..FleetConfig::default()
                 },
-                controller: None,
-                ..FleetConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(fleet.exec_threads(), 8);
-        drop(fleet);
-        let fleet = Fleet::start(
-            tiers(Duration::ZERO),
-            FleetConfig {
-                replicas: 1,
-                serve: ServeConfig {
-                    exec: ExecConfig::with_threads(4),
-                    ..ServeConfig::default()
-                },
-                controller: None,
-                ..FleetConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(fleet.exec_threads(), 4);
+            )
+            .unwrap();
+            assert_eq!(fleet.exec_threads(), threads);
+        }
     }
 
     #[test]

@@ -336,7 +336,7 @@ pub struct ServerMetrics {
     /// Batched forward pass.
     pub execute: LatencyHistogram,
     /// High-water mark of the served engine's activation-arena bytes
-    /// across its compiled execution plans (0 until a planning model
+    /// across its compiled execution plans (0 until a compiled plan
     /// reports one). A gauge, not a counter: updated by max, so
     /// concurrent workers racing on it cannot lose the peak.
     pub peak_activation_bytes: AtomicU64,
@@ -416,7 +416,8 @@ pub struct MetricsSnapshot {
     /// Modelled energy, joules.
     pub energy_j: f64,
     /// High-water mark of the served engine's activation-arena bytes
-    /// (0 when the model does not plan its execution).
+    /// (0 until a compiled plan reports one, or for models without
+    /// plans).
     pub peak_activation_bytes: u64,
     /// Queue-wait phase statistics.
     pub queue_wait: PhaseStats,

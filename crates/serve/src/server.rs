@@ -60,19 +60,11 @@ pub trait ServeModel: Send + Sync + 'static {
     fn prewarm(&self, _input_shape: &[usize], _exec: &ExecConfig) {}
 
     /// Peak activation-arena bytes across the model's compiled plans,
-    /// when the model plans its execution (`None` otherwise). Exported
-    /// as the `rtoss_peak_activation_bytes` gauge.
+    /// once one has been compiled (`None` before that, and for models
+    /// without plans). Exported as the `rtoss_peak_activation_bytes`
+    /// gauge.
     fn peak_activation_bytes(&self) -> Option<u64> {
         None
-    }
-
-    /// Whether this model executes through compiled execution plans.
-    /// For planned models `exec.threads` is the *graph-level* width —
-    /// independent plan steps fan out across the persistent worker
-    /// pool, and outputs stay bit-identical at every width — so
-    /// callers need no thread clamping on this path.
-    fn plans(&self) -> bool {
-        false
     }
 }
 
@@ -89,17 +81,11 @@ impl ServeModel for SparseModel {
     }
 
     fn prewarm(&self, input_shape: &[usize], _exec: &ExecConfig) {
-        if self.planning() {
-            let _ = self.plan_for(input_shape);
-        }
+        let _ = self.plan_for(input_shape);
     }
 
     fn peak_activation_bytes(&self) -> Option<u64> {
         SparseModel::peak_activation_bytes(self)
-    }
-
-    fn plans(&self) -> bool {
-        self.planning()
     }
 }
 

@@ -10,7 +10,9 @@
 
 use crate::exec::conv2d_pattern_sparse_with;
 use crate::format::{FormatViolation, PatternCompressedConv};
-use crate::plan::{ExecutionPlan, PlanSummary};
+use crate::plan::{
+    channel_affine_into, concat_channels_into, infer_shapes, ExecutionPlan, PlanSummary,
+};
 use rtoss_nn::layers::ActivationKind;
 use rtoss_nn::{Graph, NodeOp};
 use rtoss_tensor::exec::ExecConfig;
@@ -110,28 +112,6 @@ impl SparseNode {
             SparseOp::Concat => "concat",
         }
     }
-
-    /// Opens the `layer:<name>` trace span for executing this node.
-    /// Name and args are built lazily — nothing allocates unless the
-    /// span is actually recorded.
-    fn trace_span(&self, idx: usize, exec: &ExecConfig) -> rtoss_obs::SpanGuard {
-        rtoss_obs::span_lazy(|| {
-            use rtoss_obs::ArgValue;
-            let mut args = vec![
-                ("node", ArgValue::U64(idx as u64)),
-                ("kind", ArgValue::Static(self.kind())),
-                ("threads", ArgValue::U64(exec.threads as u64)),
-            ];
-            if let SparseOp::Conv { layer, .. } = &self.op {
-                args.push(("oc", ArgValue::U64(layer.out_channels() as u64)));
-                args.push(("ic", ArgValue::U64(layer.in_channels() as u64)));
-                args.push(("k", ArgValue::U64(layer.kernel_size() as u64)));
-                args.push(("format", ArgValue::Static("pattern")));
-                args.push(("nnz", ArgValue::U64(layer.stored_weights() as u64)));
-            }
-            (format!("layer:{}", self.name), args)
-        })
-    }
 }
 
 /// A compiled sparse inference engine for a pruned detector graph.
@@ -165,11 +145,6 @@ pub struct SparseModel {
     /// dropping in the interpreter and liveness analysis in the plan
     /// compiler.
     pub(crate) uses: Vec<usize>,
-    exec: ExecConfig,
-    /// When true (the default), `forward*` compiles the input shape to a
-    /// cached [`ExecutionPlan`] and runs that; when false, the retained
-    /// per-call interpreter runs instead.
-    planning: bool,
     /// Compiled plans keyed by input shape. A batched forward with a new
     /// batch size plans once, then reuses the plan for every later call
     /// with that shape — the serving layer's micro-batch worker never
@@ -266,46 +241,17 @@ impl SparseModel {
             nodes: Arc::new(nodes),
             outputs,
             uses,
-            exec: ExecConfig::default(),
-            planning: true,
             plans: RwLock::new(HashMap::new()),
         })
     }
 
-    /// The engine's execution configuration (thread count).
-    pub fn exec_config(&self) -> ExecConfig {
-        self.exec
-    }
-
-    /// Sets the execution configuration used by [`forward`](Self::forward)
-    /// and [`forward_batch`](Self::forward_batch).
-    pub fn set_exec_config(&mut self, exec: ExecConfig) {
-        self.exec = exec;
-    }
-
-    /// Builder-style [`set_exec_config`](Self::set_exec_config).
+    /// No-op kept only because the standalone `benchmark/` package still
+    /// calls it with `true`; every forward runs the compiled plan. The
+    /// next change to that package deletes the call and this shim
+    /// together.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_exec_config(mut self, exec: ExecConfig) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Whether `forward*` compiles-and-caches an [`ExecutionPlan`]
-    /// (true, the default) or runs the per-call interpreter.
-    pub fn planning(&self) -> bool {
-        self.planning
-    }
-
-    /// Enables or disables plan-compiled execution (`--no-plan` in the
-    /// benches sets this to false to A/B against the interpreter).
-    pub fn set_planning(&mut self, on: bool) {
-        self.planning = on;
-    }
-
-    /// Builder-style [`set_planning`](Self::set_planning).
-    #[must_use]
-    pub fn with_planning(mut self, on: bool) -> Self {
-        self.planning = on;
+    pub fn with_planning(self, _on: bool) -> Self {
         self
     }
 
@@ -426,19 +372,19 @@ impl SparseModel {
         out
     }
 
-    /// Runs the engine, returning the declared outputs.
+    /// Runs the engine at [`ExecConfig::default`], returning the
+    /// declared outputs.
     ///
     /// # Errors
     ///
     /// Returns an error on shape mismatches at any node.
     pub fn forward(&self, input: &Tensor) -> Result<Vec<Tensor>, SparseModelError> {
-        self.forward_with(input, &self.exec)
+        self.forward_with(input, &ExecConfig::default())
     }
 
-    /// [`forward`](Self::forward) with an explicit [`ExecConfig`],
-    /// overriding the engine's stored configuration for this call.
-    /// Results are bit-identical for every thread count, and the
-    /// plan-compiled path is bit-identical to the interpreter.
+    /// [`forward`](Self::forward) with an explicit [`ExecConfig`]: runs
+    /// the [`ExecutionPlan`] compiled (and cached) for the input shape.
+    /// Results are bit-identical for every thread count.
     ///
     /// # Errors
     ///
@@ -448,28 +394,31 @@ impl SparseModel {
         input: &Tensor,
         exec: &ExecConfig,
     ) -> Result<Vec<Tensor>, SparseModelError> {
-        if self.planning {
-            self.plan_for(input.shape())?.run(self, input, exec)
-        } else {
-            self.forward_interpreted_with(input, exec)
-        }
+        self.plan_for(input.shape())?.run(self, input, exec)
     }
 
-    /// The per-call graph interpreter: walks the node list, computing
-    /// one freshly allocated tensor per node. Kept as the reference
-    /// semantics the compiled plan must match bit-for-bit, and as the
-    /// fallback behind `--no-plan`. Activations are dropped as soon as
-    /// their last consumer has run, so even the interpreter's peak
-    /// memory tracks liveness rather than the whole graph.
+    /// The bit-identity oracle for the compiled plan (RV052, the plan
+    /// equivalence tests and the benchmark's identity gates) — not an
+    /// execution path. Walks the node list computing one freshly
+    /// allocated tensor per node, with no fusion, arena or level
+    /// schedule: convs run unfused through
+    /// [`conv2d_pattern_sparse_with`], max-pool and upsample through
+    /// `rtoss_tensor::ops`, so those bodies stay independent of the
+    /// plan's; the channel-affine and concat steps call the plan's own
+    /// `_into` bodies on fresh buffers. Each node's output shape is
+    /// checked against the plan's shape inference, and activations are
+    /// dropped after their last consumer.
     ///
     /// # Errors
     ///
     /// Returns an error on shape mismatches at any node.
+    #[doc(hidden)]
     pub fn forward_interpreted_with(
         &self,
         input: &Tensor,
         exec: &ExecConfig,
     ) -> Result<Vec<Tensor>, SparseModelError> {
+        let shapes = infer_shapes(&self.nodes, input.shape())?;
         let mut remaining = self.uses.clone();
         let mut acts: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         for (i, node) in self.nodes.iter().enumerate() {
@@ -493,7 +442,7 @@ impl SparseModel {
                         msg: format!("node {j} not yet computed"),
                     }))
             };
-            let _span = node.trace_span(i, exec);
+            let fresh = || vec![0.0f32; shapes[i].iter().product()];
             let out = match &node.op {
                 // Handled above; nothing is stored for inputs.
                 SparseOp::Input => continue,
@@ -501,7 +450,10 @@ impl SparseModel {
                     conv2d_pattern_sparse_with(get(node.inputs[0])?, layer, Some(bias), exec)?
                 }
                 SparseOp::ChannelAffine { scale, shift } => {
-                    channel_affine(get(node.inputs[0])?, scale, shift)?
+                    let x = get(node.inputs[0])?;
+                    let mut out = fresh();
+                    channel_affine_into(x.as_slice(), x.shape(), scale, shift, &mut out);
+                    Tensor::from_vec(out, &shapes[i])?
                 }
                 SparseOp::Activation(kind) => {
                     let k = *kind;
@@ -513,10 +465,26 @@ impl SparseModel {
                 SparseOp::Upsample2x => ops::upsample_nearest2x(get(node.inputs[0])?)?,
                 SparseOp::Add => get(node.inputs[0])?.add(get(node.inputs[1])?)?,
                 SparseOp::Concat => {
-                    let xs: Result<Vec<&Tensor>, _> = node.inputs.iter().map(|&j| get(j)).collect();
-                    concat_channels(&xs?)?
+                    let parts = node
+                        .inputs
+                        .iter()
+                        .map(|&j| get(j).map(|x| (x.as_slice(), x.shape())))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    let mut out = fresh();
+                    concat_channels_into(&parts, &shapes[i], &mut out);
+                    Tensor::from_vec(out, &shapes[i])?
                 }
             };
+            if out.shape() != shapes[i].as_slice() {
+                return Err(SparseModelError::Tensor(TensorError::Invalid {
+                    op: "sparse_forward",
+                    msg: format!(
+                        "node {i}: computed {:?}, plan inferred {:?}",
+                        out.shape(),
+                        shapes[i]
+                    ),
+                }));
+            }
             acts[i] = Some(out);
             // Last-use drop: a consumed activation whose remaining uses
             // hit zero is freed now, not at the end of the pass.
@@ -577,7 +545,7 @@ impl SparseModel {
     /// Returns an error when `inputs` is empty, when the inputs disagree
     /// in non-batch dimensions, or when the forward pass itself fails.
     pub fn forward_batch(&self, inputs: &[&Tensor]) -> Result<Vec<Vec<Tensor>>, SparseModelError> {
-        self.forward_batch_with(inputs, &self.exec)
+        self.forward_batch_with(inputs, &ExecConfig::default())
     }
 
     /// [`forward_batch`](Self::forward_batch) with an explicit
@@ -638,47 +606,6 @@ pub(crate) fn epilogue_act(kind: ActivationKind) -> Option<rtoss_tensor::Epilogu
         ActivationKind::Sigmoid => Some(EpilogueAct::Sigmoid),
         _ => None,
     }
-}
-
-fn channel_affine(x: &Tensor, scale: &[f32], shift: &[f32]) -> Result<Tensor, TensorError> {
-    if x.rank() != 4 || x.shape()[1] != scale.len() {
-        return Err(TensorError::Invalid {
-            op: "channel_affine",
-            msg: format!("input {:?} vs {} channels", x.shape(), scale.len()),
-        });
-    }
-    let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let plane = h * w;
-    let mut out = x.as_slice().to_vec();
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * plane;
-            let (s, b) = (scale[ci], shift[ci]);
-            for v in &mut out[base..base + plane] {
-                *v = s * *v + b;
-            }
-        }
-    }
-    Tensor::from_vec(out, x.shape())
-}
-
-fn concat_channels(xs: &[&Tensor]) -> Result<Tensor, TensorError> {
-    let first = xs[0];
-    let (n, h, w) = (first.shape()[0], first.shape()[2], first.shape()[3]);
-    let total_c: usize = xs.iter().map(|x| x.shape()[1]).sum();
-    let plane = h * w;
-    let mut out = vec![0.0f32; n * total_c * plane];
-    for ni in 0..n {
-        let mut c_off = 0;
-        for x in xs {
-            let c = x.shape()[1];
-            let src = &x.as_slice()[ni * c * plane..(ni + 1) * c * plane];
-            let dst = (ni * total_c + c_off) * plane;
-            out[dst..dst + c * plane].copy_from_slice(src);
-            c_off += c;
-        }
-    }
-    Tensor::from_vec(out, &[n, total_c, h, w])
 }
 
 #[cfg(test)]

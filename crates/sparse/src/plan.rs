@@ -47,10 +47,11 @@
 //!
 //! Every transformation is bit-exact: the fused epilogue performs the
 //! same `f32` operations in the same order as the standalone passes,
-//! the arena ops mirror the interpreter's loops exactly, and level
-//! parallelism only changes *which step runs when*, never the
+//! the pool and upsample bodies mirror `rtoss_tensor::ops` exactly, and
+//! level parallelism only changes *which step runs when*, never the
 //! arithmetic inside a step — so planned outputs are **bit-identical**
-//! to the serial plan and to the interpreter for every thread count.
+//! to the serial plan and to the interpreter oracle
+//! (`SparseModel::forward_interpreted_with`) for every thread count.
 //! `rtoss-verify`'s RV05x family checks the schedule, the arena
 //! assignment, the level structure, and that equivalence on seeded
 //! engines.
@@ -1049,7 +1050,7 @@ fn best_fit(free: &[(usize, usize)], caps: &[usize], len: usize, level: usize) -
 
 /// Plan-time shape inference over the compiled node list — the one
 /// place shapes are validated; per-call execution trusts these.
-fn infer_shapes(
+pub(crate) fn infer_shapes(
     nodes: &[SparseNode],
     input_shape: &[usize],
 ) -> Result<Vec<Vec<usize>>, SparseModelError> {
@@ -1158,10 +1159,9 @@ fn infer_shapes(
     Ok(shapes)
 }
 
-/// Per-channel affine into an arena slice, mirroring the interpreter's
-/// `channel_affine` loop exactly (same `s * v + b` expression, same
-/// traversal order) for bit-identity.
-fn channel_affine_into(
+/// Per-channel affine `s * v + b` of an NCHW slice into `out` — the one
+/// body both the plan and the interpreter oracle run.
+pub(crate) fn channel_affine_into(
     x: &[f32],
     x_shape: &[usize],
     scale: &[f32],
@@ -1246,9 +1246,13 @@ fn upsample_nearest2x_into(x: &[f32], x_shape: &[usize], out: &mut [f32]) {
     }
 }
 
-/// Channel concatenation into an arena slice, mirroring the
-/// interpreter's `concat_channels` copy order.
-fn concat_channels_into(parts: &[(&[f32], &[usize])], out_shape: &[usize], out: &mut [f32]) {
+/// Channel concatenation of NCHW slices into `out` — the one body both
+/// the plan and the interpreter oracle run.
+pub(crate) fn concat_channels_into(
+    parts: &[(&[f32], &[usize])],
+    out_shape: &[usize],
+    out: &mut [f32],
+) {
     let (n, total_c, h, w) = (out_shape[0], out_shape[1], out_shape[2], out_shape[3]);
     let plane = h * w;
     for ni in 0..n {
@@ -1263,9 +1267,10 @@ fn concat_channels_into(parts: &[(&[f32], &[usize])], out_shape: &[usize], out: 
     }
 }
 
-/// Opens the `layer:<name>` trace span for a plan step, carrying the
-/// plan metadata (fused epilogue kind, arena slot) alongside the
-/// interpreter's per-layer args.
+/// Opens the `layer:<name>` trace span for a plan step: node, kind and
+/// width, the plan metadata (fused epilogue kind, arena slot), and the
+/// conv geometry for conv steps. Name and args are built lazily —
+/// nothing allocates unless the span is actually recorded.
 fn step_span(step: &PlanStep, node: &SparseNode, exec: &ExecConfig) -> rtoss_obs::SpanGuard {
     rtoss_obs::span_lazy(|| {
         use rtoss_obs::ArgValue;
@@ -1516,22 +1521,25 @@ mod tests {
 
     #[test]
     fn interpreter_frees_activations_without_changing_outputs() {
-        // Satellite: the interpreter drops each activation after its
-        // last consumer; outputs must be unchanged, and repeated calls
-        // must agree exactly (no freed buffer is ever read).
+        // The interpreter drops each activation after its last
+        // consumer; repeated calls must agree exactly with each other
+        // and with the planned forward (no freed buffer is ever read).
         let mut m = yolov5s_twin(4, 2, 61).unwrap();
         RTossPruner::new(EntryPattern::Three)
             .prune_graph(&mut m.graph)
             .unwrap();
-        let engine = SparseModel::compile(&m.graph).unwrap().with_planning(false);
-        assert!(!engine.planning());
+        let engine = SparseModel::compile(&m.graph).unwrap();
         let probe = init::uniform(&mut init::rng(62), &[1, 3, 32, 32], 0.0, 1.0);
-        let one = engine.forward(&probe).unwrap();
-        let two = engine.forward(&probe).unwrap();
+        let serial = ExecConfig::serial();
+        let one = engine.forward_interpreted_with(&probe, &serial).unwrap();
+        let two = engine.forward_interpreted_with(&probe, &serial).unwrap();
+        let planned = engine.forward(&probe).unwrap();
         assert!(!one.is_empty());
         assert_eq!(one.len(), two.len());
-        for (a, b) in one.iter().zip(&two) {
+        assert_eq!(one.len(), planned.len());
+        for ((a, b), p) in one.iter().zip(&two).zip(&planned) {
             assert_eq!(a.as_slice(), b.as_slice());
+            assert_eq!(a.as_slice(), p.as_slice());
         }
     }
 

@@ -131,9 +131,9 @@ pub fn measure_model(
 }
 
 /// [`measure_model`] with an explicit [`ExecConfig`] applied to the
-/// compiled sparse engine. (The dense graph side runs through the
-/// layers' own `ops::conv2d` calls, which use the process default —
-/// set `RTOSS_THREADS` to steer both sides together.)
+/// compiled sparse engine's planned forward. (The dense graph side runs
+/// through the layers' own `ops::conv2d` calls, which use the process
+/// default — set `RTOSS_THREADS` to steer both sides together.)
 ///
 /// # Errors
 ///
@@ -144,27 +144,7 @@ pub fn measure_model_with(
     reps: usize,
     exec: &ExecConfig,
 ) -> Result<ModelTiming, Box<dyn std::error::Error>> {
-    measure_model_planning(graph, x, reps, exec, true)
-}
-
-/// [`measure_model_with`] with explicit control over execution
-/// planning: `planning = false` times the per-call graph interpreter
-/// instead of the compiled [`ExecutionPlan`](crate::ExecutionPlan)
-/// path (the `--no-plan` baseline the benchmarks expose).
-///
-/// # Errors
-///
-/// Returns an error if the graph cannot be compiled or inference fails.
-pub fn measure_model_planning(
-    graph: &mut rtoss_nn::Graph,
-    x: &Tensor,
-    reps: usize,
-    exec: &ExecConfig,
-    planning: bool,
-) -> Result<ModelTiming, Box<dyn std::error::Error>> {
-    let engine = crate::SparseModel::compile(graph)?
-        .with_exec_config(*exec)
-        .with_planning(planning);
+    let engine = crate::SparseModel::compile(graph)?;
     graph.set_training(false);
     graph.forward(x)?; // warm-up
     let start = Instant::now();
@@ -175,10 +155,10 @@ pub fn measure_model_planning(
     let dense_s = start.elapsed().as_secs_f64() / reps as f64;
     graph.clear_cache();
 
-    engine.forward(x)?; // warm-up
+    engine.forward_with(x, exec)?; // warm-up
     let start = Instant::now();
     for _ in 0..reps {
-        let y = engine.forward(x)?;
+        let y = engine.forward_with(x, exec)?;
         std::hint::black_box(y[0].as_slice()[0]);
     }
     let sparse_s = start.elapsed().as_secs_f64() / reps as f64;

@@ -16,7 +16,8 @@ use rtoss::models::{retinanet_twin, yolov5s_twin, DetectorModel};
 use rtoss::sparse::{PatternCompressedConv, SparseModel, UnstructuredSparseConv};
 use rtoss::tensor::Tensor;
 use rtoss::verify::{
-    check_model, check_pattern_layer, check_sparse_model, check_unstructured_layer, fixtures,
+    check_execution_plan, check_model, check_pattern_layer, check_sparse_model,
+    check_unstructured_layer, fixtures,
 };
 
 const INPUT: [usize; 4] = [1, 3, 64, 64];
@@ -69,6 +70,35 @@ fn seed_retinanet_configs_verify_clean() {
             "retinanet engine {entry:?}:\n{}",
             report.render()
         );
+    }
+}
+
+/// RV050–RV054 and RV070 on live engines: the compiled plan's schedule,
+/// arena and levels are sound, and its output is bit-identical to the
+/// interpreter oracle at widths 1 and 4 and on a forced worker pool.
+#[test]
+fn planned_forward_matches_the_interpreter_oracle() {
+    let probe_shape = [1, 3, 32, 32];
+    let probe = rtoss::tensor::init::uniform(
+        &mut rtoss::tensor::init::rng(0x5EED),
+        &probe_shape,
+        0.0,
+        1.0,
+    );
+    // 3EP twin with non-trivial BN running statistics, so the fused
+    // conv→BN→activation epilogues carry real scale/shift values.
+    let mut yolo = yolov5s_twin(4, 2, 0x5EED).expect("twin builds");
+    let warm =
+        rtoss::tensor::init::uniform(&mut rtoss::tensor::init::rng(1), &[2, 3, 32, 32], 0.0, 1.0);
+    yolo.graph.set_training(true);
+    yolo.graph.forward(&warm).expect("warm-up forward");
+    yolo.graph.set_training(false);
+    let yolo = pruned(yolo, EntryPattern::Three);
+    let retina = retinanet_twin(4, 2, 0x5EED).expect("twin builds");
+    for (label, m) in [("yolov5s 3EP", &yolo), ("retinanet dense", &retina)] {
+        let engine = SparseModel::compile(&m.graph).expect("compiles");
+        let report = check_execution_plan(&engine, &probe, &[1, 4]);
+        assert!(!report.has_errors(), "{label}:\n{}", report.render());
     }
 }
 
