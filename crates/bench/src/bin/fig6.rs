@@ -10,11 +10,9 @@
 //! unstructured sparsity does not.
 //!
 //! ```text
-//! fig6 [--threads N] [--verify]
+//! fig6 [--verify]
 //! ```
 //!
-//! `--threads` sets the intra-op tile-parallelism of the measured CPU
-//! and model series (defaults to `RTOSS_THREADS` or the core count).
 //! `--verify` runs the rtoss-verify static checks over every pruned
 //! artifact about to be timed and refuses to benchmark (exit 1) if any
 //! invariant is violated — a broken model would produce a fast but
@@ -26,8 +24,8 @@ use rtoss_core::pattern::canonical_set;
 use rtoss_core::prune3x3::prune_3x3_weights;
 use rtoss_hw::DeviceModel;
 use rtoss_models::{retinanet, yolov5s, DetectorModel};
-use rtoss_sparse::runtime::measure_layer_with;
-use rtoss_tensor::{init, ExecConfig};
+use rtoss_sparse::runtime::{measure_layer, measure_model};
+use rtoss_tensor::init;
 
 /// Paper Fig. 6 approximate speedups vs BM: (method, 2080 Ti, TX2).
 const PAPER_YOLO: &[(&str, f64, f64)] = &[
@@ -88,13 +86,13 @@ fn sweep(name: &str, build: impl Fn() -> DetectorModel, paper: &[(&str, f64, f64
 }
 
 /// Measured CPU series: one representative 3×3 layer, three executors.
-fn measured_cpu_series(exec: &ExecConfig) {
+fn measured_cpu_series() {
     let x = init::uniform(&mut init::rng(7), &[1, 64, 40, 40], -1.0, 1.0);
     let mut rows = Vec::new();
     for (label, k) in [("R-TOSS (2EP)", 2usize), ("R-TOSS (3EP)", 3), ("PD/4EP", 4)] {
         let mut w = init::uniform(&mut init::rng(8), &[64, 64, 3, 3], -1.0, 1.0);
         prune_3x3_weights(&mut w, &canonical_set(k).expect("pattern set")).expect("prune succeeds");
-        let t = measure_layer_with(&x, &w, 1, 1, 3, exec).expect("measurement succeeds");
+        let t = measure_layer(&x, &w, 1, 1, 3).expect("measurement succeeds");
         rows.push(vec![
             label.to_string(),
             format!("{:.2}x", t.pattern_speedup()),
@@ -116,7 +114,7 @@ fn measured_cpu_series(exec: &ExecConfig) {
             p.prune_graph(&mut g).expect("prune succeeds");
             g.conv(id).expect("conv").weight().value.clone()
         };
-        let t = measure_layer_with(&x, &mask, 1, 1, 3, exec).expect("measurement succeeds");
+        let t = measure_layer(&x, &mask, 1, 1, 3).expect("measurement succeeds");
         rows.push(vec![
             "NMS (unstructured, same sparsity as 2EP)".to_string(),
             format!("{:.2}x", t.pattern_speedup()),
@@ -137,9 +135,8 @@ fn measured_cpu_series(exec: &ExecConfig) {
 /// End-to-end measured series: the compiled sparse engine on the
 /// unpruned vs pruned twin (same executor, so the speedup isolates the
 /// work the pruning actually removes — the paper's BM-relative framing).
-fn measured_model_series(exec: &ExecConfig) {
+fn measured_model_series() {
     use rtoss_core::{EntryPattern, Pruner, RTossPruner};
-    use rtoss_sparse::runtime::measure_model_with;
     let x = init::uniform(&mut init::rng(10), &[1, 3, 64, 64], 0.0, 1.0);
     let time_engine = |entry: Option<EntryPattern>| -> (f64, f64) {
         let mut m = rtoss_models::yolov5s_twin(16, 3, 42).expect("twin builds");
@@ -148,7 +145,7 @@ fn measured_model_series(exec: &ExecConfig) {
                 .prune_graph(&mut m.graph)
                 .expect("pruning succeeds");
         }
-        let t = measure_model_with(&mut m.graph, &x, 5, exec).expect("timing succeeds");
+        let t = measure_model(&mut m.graph, &x, 5).expect("timing succeeds");
         (t.dense_s, t.sparse_s)
     };
     let (_, bm_engine) = time_engine(None);
@@ -172,36 +169,23 @@ fn measured_model_series(exec: &ExecConfig) {
     );
 }
 
-fn parse_args() -> (ExecConfig, bool) {
-    let mut exec = ExecConfig::default();
+fn parse_args() -> bool {
     let mut verify = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
+    for flag in std::env::args().skip(1) {
         match flag.as_str() {
-            "--threads" => {
-                let raw = it.next().unwrap_or_else(|| {
-                    eprintln!("fig6: missing value for --threads");
-                    std::process::exit(2);
-                });
-                let n: usize = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("fig6: --threads takes a number, got {raw:?}");
-                    std::process::exit(2);
-                });
-                exec = ExecConfig::with_threads(n);
-            }
             "--verify" => verify = true,
             other => {
-                eprintln!("fig6: unknown flag {other}\nusage: fig6 [--threads N] [--verify]");
+                eprintln!("fig6: unknown flag {other}\nusage: fig6 [--verify]");
                 std::process::exit(2);
             }
         }
     }
-    (exec, verify)
+    verify
 }
 
 /// Pre-flight: statically verify every artifact this harness is about
 /// to time. Refuses to benchmark ill-formed models (exit 1).
-fn preflight(exec: &ExecConfig) {
+fn preflight() {
     use rtoss_core::{EntryPattern, Pruner, RTossPruner};
     let mut report = rtoss_verify::Report::new();
     // The end-to-end model series: pruned twins through the sparse engine.
@@ -224,8 +208,6 @@ fn preflight(exec: &ExecConfig) {
             &pc,
         ));
     }
-    // The executor the timed runs will deal tiles through.
-    report.extend(rtoss_verify::check_tile_partition(64, exec.threads.max(1)).diagnostics);
     if report.has_errors() {
         eprint!("{}", report.render());
         eprintln!("fig6: refusing to benchmark ill-formed artifacts");
@@ -238,9 +220,8 @@ fn preflight(exec: &ExecConfig) {
 }
 
 fn main() {
-    let (exec, verify) = parse_args();
-    if verify {
-        preflight(&exec);
+    if parse_args() {
+        preflight();
     }
     eprintln!("device-model series: YOLOv5s...");
     sweep(
@@ -254,10 +235,10 @@ fn main() {
         || retinanet(80, 42).expect("retinanet builds"),
         PAPER_RETINA,
     );
-    eprintln!("measured CPU series ({} threads)...", exec.threads);
-    measured_cpu_series(&exec);
+    eprintln!("measured CPU series...");
+    measured_cpu_series();
     eprintln!("measured end-to-end model series...");
-    measured_model_series(&exec);
+    measured_model_series();
     println!(
         "\nShape check: R-TOSS (2EP) is the fastest on both platforms, as in\n\
          the paper. The measured CPU series confirms that pattern pruning's\n\

@@ -31,7 +31,7 @@ use rtoss_core::prune3x3::prune_3x3_weights;
 use rtoss_sparse::exec::{conv2d_packed_into, conv2d_pattern_scalar_into_with, conv_output_shape};
 use rtoss_sparse::{coo_from_pattern, PatternCompressedConv};
 use rtoss_tensor::exec::Epilogue;
-use rtoss_tensor::{init, ExecConfig};
+use rtoss_tensor::init;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -171,7 +171,6 @@ fn measure(mode: &str, entries: Option<usize>, args: &Args) -> KernelRow {
     let x_shape = [1, args.channels, args.image, args.image];
     let x = init::uniform(&mut init::rng(0x6C), &x_shape, -1.0, 1.0);
     let bias = vec![0.125f32; args.channels];
-    let exec = ExecConfig::serial();
     let out_shape = conv_output_shape(
         &x_shape,
         layer.in_channels(),
@@ -185,7 +184,7 @@ fn measure(mode: &str, entries: Option<usize>, args: &Args) -> KernelRow {
     let mut out = vec![0.0f32; out_shape.iter().product()];
     let xs = x.as_slice();
     let packed = |pack, o: &mut [f32]| {
-        conv2d_packed_into(xs, &x_shape, pack, Some(&bias), &Epilogue::NONE, o, &exec)
+        conv2d_packed_into(xs, &x_shape, pack, Some(&bias), &Epilogue::NONE, o)
             .map(|_| ())
             .expect("tiled driver runs")
     };
@@ -194,17 +193,9 @@ fn measure(mode: &str, entries: Option<usize>, args: &Args) -> KernelRow {
         args.reps,
         &mut out,
         &mut |o| {
-            conv2d_pattern_scalar_into_with(
-                xs,
-                &x_shape,
-                &layer,
-                Some(&bias),
-                &Epilogue::NONE,
-                o,
-                &exec,
-            )
-            .map(|_| ())
-            .expect("scalar runs")
+            conv2d_pattern_scalar_into_with(xs, &x_shape, &layer, Some(&bias), &Epilogue::NONE, o)
+                .map(|_| ())
+                .expect("scalar runs")
         },
         &mut |o| packed(layer.pack(), o),
         &mut |o| packed(coo.pack(), o),
@@ -228,7 +219,6 @@ fn calibrate_timer(args: &Args) -> f64 {
     let x_shape = [1, args.channels, args.image, args.image];
     let x = init::uniform(&mut init::rng(0x6D), &x_shape, -1.0, 1.0);
     let bias = vec![0.125f32; args.channels];
-    let exec = ExecConfig::serial();
     let mut out = vec![0.0f32; x_shape.iter().product::<usize>()];
     let mut run = |o: &mut [f32]| {
         conv2d_pattern_scalar_into_with(
@@ -238,7 +228,6 @@ fn calibrate_timer(args: &Args) -> f64 {
             Some(&bias),
             &Epilogue::NONE,
             o,
-            &exec,
         )
         .map(|_| ())
         .expect("calibration runs")

@@ -20,8 +20,9 @@
 //! on/off Markov-modulated bursty schedule at the same mean rate —
 //! `--burst 1` (the default) is plain Poisson.
 //!
-//! `--threads` sets the intra-op tile-parallelism of every forward pass
-//! (defaults to `RTOSS_THREADS` or the machine's core count).
+//! `--threads` sets the plan width of every forward pass — how many
+//! independent steps of one dependency level run at once (defaults to
+//! `RTOSS_THREADS` or the machine's core count).
 //! `--verify` statically checks each pruned graph and compiled engine
 //! with rtoss-verify before serving it, and exits non-zero instead of
 //! reporting numbers from an ill-formed model. Every engine serves
@@ -280,7 +281,7 @@ fn main() {
     }
     println!(
         "serve_bench: YOLOv5s twin, {} req @ {} qps, seed {}, {} workers, max batch {}, \
-         deadline {} ms, {} intra-op threads\n",
+         deadline {} ms, plan width {}\n",
         args.requests,
         args.qps,
         args.seed,

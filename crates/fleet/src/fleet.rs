@@ -157,9 +157,8 @@ impl Fleet {
     ///
     /// `serve.exec.threads` is passed through unchanged to every
     /// replica: for sparse engines it is the graph-level width of the
-    /// levelled plan scheduler (bit-identical at every width), so the
-    /// old planned-path `threads=1` clamp — a workaround for the
-    /// since-fixed par_scaling collapse (0.09x at 8 threads) — is gone.
+    /// levelled plan scheduler (bit-identical at every width), the
+    /// only parallelism an engine has — every op body is serial.
     ///
     /// # Errors
     ///

@@ -34,7 +34,7 @@ static NEXT_BATCH_ID: AtomicU64 = AtomicU64::new(1);
 /// call from several worker threads at once.
 pub trait ServeModel: Send + Sync + 'static {
     /// Runs one stacked micro-batch at the server's [`ExecConfig`]
-    /// (intra-op thread count); models without a parallel path may
+    /// (the compiled plan's width); models without a parallel path may
     /// ignore `exec`.
     ///
     /// # Errors

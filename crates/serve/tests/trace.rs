@@ -107,7 +107,7 @@ fn traced_server_run_emits_nested_phase_and_layer_spans() {
                     .any(|(k, v)| *k == "kind" && *v == obs::ArgValue::Static("conv"))
         })
         .expect("at least one conv layer span");
-    for key in ["oc", "ic", "k", "nnz", "threads"] {
+    for key in ["oc", "ic", "k", "nnz", "width"] {
         assert!(
             conv_layer.args.iter().any(|(k, _)| *k == key),
             "conv layer span missing arg {key:?}"

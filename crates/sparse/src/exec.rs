@@ -35,17 +35,14 @@
 //! the layer bias is `-0.0` — the executors' contract excludes
 //! negative-zero biases.
 //!
-//! The output is tiled into `(batch, out-channel)` planes run across
-//! `exec.threads` scoped threads. Tiles own disjoint `&mut` output
-//! slices, and each plane accumulates in the serial sweep's
-//! floating-point order, so results are bit-identical for every thread
-//! count.
+//! Both bodies are serial: the compiled plan runs independent steps of
+//! one dependency level in parallel, never the planes of one conv.
 //!
 //! [`NR`]: rtoss_tensor::microkernel::NR
 
 use crate::format::{PatternCompressedConv, UnstructuredSparseConv};
 use crate::pack::Pack;
-use rtoss_tensor::exec::{run_tiles, Epilogue, ExecConfig};
+use rtoss_tensor::exec::{Epilogue, ExecConfig};
 use rtoss_tensor::microkernel::{
     accum_kernel, accum_taps, pad_plane_into, padded_plane_len, writeback, FastDivmod, Tile, MR, NR,
 };
@@ -224,12 +221,7 @@ fn check_conv_into(
 
 /// Shared `Tensor`-returning entry: zeroed buffer, run the driver over
 /// `pack`, wrap the result.
-fn conv_entry(
-    x: &Tensor,
-    pack: &Pack,
-    bias: Option<&[f32]>,
-    exec: &ExecConfig,
-) -> Result<Tensor, TensorError> {
+fn conv_entry(x: &Tensor, pack: &Pack, bias: Option<&[f32]>) -> Result<Tensor, TensorError> {
     let shape = conv_output_shape(
         x.shape(),
         pack.in_ch,
@@ -247,7 +239,6 @@ fn conv_entry(
         bias,
         &Epilogue::NONE,
         &mut out,
-        exec,
     )?;
     Tensor::from_vec(out, &shape)
 }
@@ -276,8 +267,7 @@ fn run_tiled_conv(
     x: &[f32],
     g: ConvGeom,
     out: &mut [f32],
-    threads: usize,
-    tile_fn: impl Fn(usize, &Tile, &[f32], &mut [f32]) + Sync,
+    tile_fn: impl Fn(usize, &Tile, &[f32], &mut [f32]),
 ) {
     let plane = g.oh * g.ow;
     let segs_per_row = g.ow.div_ceil(NR).max(1);
@@ -290,16 +280,14 @@ fn run_tiled_conv(
     for (p, dst) in staged.chunks_mut(php).enumerate() {
         pad_plane_into(dst, &x[p * hw..(p + 1) * hw], g.h, g.w, g.pad);
     }
-    let xp = &staged[..];
-    let tiles: Vec<(usize, &mut [f32])> = out.chunks_mut(plane).enumerate().collect();
-    run_tiles(tiles, threads, |(tile_ix, out_plane)| {
+    for (plane_ix, out_plane) in out.chunks_mut(plane).enumerate() {
         let (ni, oc) = {
-            let (q, r) = oc_div.divmod(tile_ix as u32);
+            let (q, r) = oc_div.divmod(plane_ix as u32);
             (q as usize, r as usize)
         };
         // Each staged plane carries its own slack tail (included in
         // `php`), so ragged tiles stay within their plane's slice.
-        let x_batch = &xp[ni * g.c * php..];
+        let x_batch = &staged[ni * g.c * php..];
         for s in 0..(row_blocks * segs_per_row) as u32 {
             let (by, sx) = seg_div.divmod(s);
             let oy0 = by as usize * MR;
@@ -314,11 +302,12 @@ fn run_tiled_conv(
             };
             tile_fn(oc, &tile, x_batch, out_plane);
         }
-    });
+    }
 }
 
 /// Executes a pattern-compressed convolution through the layer's pack:
-/// `x (N,C,H,W) → (N,O,oh,ow)`.
+/// `x (N,C,H,W) → (N,O,oh,ow)`. Serial; `_exec` is not read and stays
+/// only because the `benchmark/` package calls this signature.
 ///
 /// # Errors
 ///
@@ -328,14 +317,16 @@ pub fn conv2d_pattern_sparse_with(
     x: &Tensor,
     layer: &PatternCompressedConv,
     bias: Option<&[f32]>,
-    exec: &ExecConfig,
+    _exec: &ExecConfig,
 ) -> Result<Tensor, TensorError> {
     debug_validate(|| layer.validate());
-    conv_entry(x, layer.pack(), bias, exec)
+    conv_entry(x, layer.pack(), bias)
 }
 
 /// Executes an unstructured (COO) sparse convolution through the
 /// layer's pack — the same driver as [`conv2d_pattern_sparse_with`].
+/// Serial; `_exec` is not read and stays only because the `benchmark/`
+/// package calls this signature.
 ///
 /// # Errors
 ///
@@ -345,10 +336,10 @@ pub fn conv2d_unstructured_with(
     x: &Tensor,
     layer: &UnstructuredSparseConv,
     bias: Option<&[f32]>,
-    exec: &ExecConfig,
+    _exec: &ExecConfig,
 ) -> Result<Tensor, TensorError> {
     debug_validate(|| layer.validate());
-    conv_entry(x, layer.pack(), bias, exec)
+    conv_entry(x, layer.pack(), bias)
 }
 
 /// The one tiled conv driver: runs `pack` over the input, writing into
@@ -361,10 +352,7 @@ pub fn conv2d_unstructured_with(
 /// must hold exactly `n * out_channels * oh * ow` elements. Every
 /// element of `out` is overwritten (bias or zero fill first), so a
 /// reused arena buffer needs no clearing. The epilogue runs per output
-/// segment at tile writeback — hot in registers, composing with the
-/// scoped-thread tiling, and bit-identical for every thread count
-/// (each plane is processed by exactly one worker in the serial
-/// sweep's order).
+/// segment at tile writeback, hot in registers.
 ///
 /// Returns the output shape `[n, out_channels, oh, ow]`.
 ///
@@ -380,21 +368,19 @@ pub fn conv2d_packed_into(
     bias: Option<&[f32]>,
     epilogue: &Epilogue<'_>,
     out: &mut [f32],
-    exec: &ExecConfig,
 ) -> Result<[usize; 4], TensorError> {
     let g = check_conv_into("conv2d_packed", x_shape, pack, bias, epilogue, out.len())?;
     // A uniform per-kernel tap count hoists the arity dispatch out of
     // the tile walk entirely: every tile runs one monomorphized
     // unrolled body with no per-kernel match.
-    let t = exec.threads;
     match pack.uniform_arity() {
-        Some(1) => run_pack_arity::<1>(x, g, bias, epilogue, out, t, pack),
-        Some(2) => run_pack_arity::<2>(x, g, bias, epilogue, out, t, pack),
-        Some(3) => run_pack_arity::<3>(x, g, bias, epilogue, out, t, pack),
-        Some(4) => run_pack_arity::<4>(x, g, bias, epilogue, out, t, pack),
-        Some(5) => run_pack_arity::<5>(x, g, bias, epilogue, out, t, pack),
-        Some(9) => run_pack_arity::<9>(x, g, bias, epilogue, out, t, pack),
-        _ => run_pack_arity::<MIXED>(x, g, bias, epilogue, out, t, pack),
+        Some(1) => run_pack_arity::<1>(x, g, bias, epilogue, out, pack),
+        Some(2) => run_pack_arity::<2>(x, g, bias, epilogue, out, pack),
+        Some(3) => run_pack_arity::<3>(x, g, bias, epilogue, out, pack),
+        Some(4) => run_pack_arity::<4>(x, g, bias, epilogue, out, pack),
+        Some(5) => run_pack_arity::<5>(x, g, bias, epilogue, out, pack),
+        Some(9) => run_pack_arity::<9>(x, g, bias, epilogue, out, pack),
+        _ => run_pack_arity::<MIXED>(x, g, bias, epilogue, out, pack),
     }
     Ok([g.n, g.o, g.oh, g.ow])
 }
@@ -413,13 +399,12 @@ fn run_pack_arity<const T: usize>(
     bias: Option<&[f32]>,
     epilogue: &Epilogue<'_>,
     out: &mut [f32],
-    threads: usize,
     pack: &Pack,
 ) {
     let php = padded_plane_len(g.h, g.w, g.pad, g.stride, g.k);
     let c = g.c;
     let ow = g.ow;
-    run_tiled_conv(x, g, out, threads, |oc, tile, x_batch, out_plane| {
+    run_tiled_conv(x, g, out, |oc, tile, x_batch, out_plane| {
         let mut acc = [[bias.map_or(0.0, |b| b[oc]); NR]; MR];
         for (ic, taps, vals) in pack.oc_kernels(oc) {
             if ic >= c {
@@ -452,7 +437,6 @@ pub fn conv2d_pattern_scalar_into_with(
     bias: Option<&[f32]>,
     epilogue: &Epilogue<'_>,
     out: &mut [f32],
-    exec: &ExecConfig,
 ) -> Result<[usize; 4], TensorError> {
     let pack = layer.pack();
     let g = check_conv_into(
@@ -466,9 +450,8 @@ pub fn conv2d_pattern_scalar_into_with(
     debug_validate(|| layer.validate());
     let plane = g.oh * g.ow;
     let hw = g.h * g.w;
-    let tiles: Vec<(usize, &mut [f32])> = out.chunks_mut(plane).enumerate().collect();
-    run_tiles(tiles, exec.threads, |(tile, out_plane)| {
-        let (ni, oc) = (tile / g.o, tile % g.o);
+    for (plane_ix, out_plane) in out.chunks_mut(plane).enumerate() {
+        let (ni, oc) = (plane_ix / g.o, plane_ix % g.o);
         // The buffer may be a reused arena slot: fill unconditionally.
         out_plane.fill(bias.map_or(0.0, |b| b[oc]));
         for (ic, taps, vals) in pack.oc_kernels(oc) {
@@ -494,13 +477,13 @@ pub fn conv2d_pattern_scalar_into_with(
             }
         }
         epilogue.apply(oc, out_plane);
-    });
+    }
     Ok([g.n, g.o, g.oh, g.ow])
 }
 
 /// Debug-build checkpoint: a corrupt artifact (out-of-bounds channel
 /// or offset) would otherwise surface as silently-wrong output in the
-/// tiled workers. Release builds rely on the opt-in `rtoss-verify`
+/// tiled driver. Release builds rely on the opt-in `rtoss-verify`
 /// pre-flight pass instead of paying this on every forward.
 pub(crate) fn debug_validate(violations: impl FnOnce() -> Vec<crate::FormatViolation>) {
     if cfg!(debug_assertions) {
@@ -577,7 +560,6 @@ mod tests {
                 Some(&bias),
                 &Epilogue::NONE,
                 &mut sc,
-                &cfg,
             )
             .unwrap();
             assert_eq!(a.as_slice(), &sc[..], "tiled vs scalar s{stride}p{pad}");
@@ -598,32 +580,6 @@ mod tests {
             &dense,
             1e-4,
         );
-    }
-
-    #[test]
-    fn parallel_executors_bit_identical_to_serial() {
-        for &(stride, pad, batch) in &[(1usize, 1usize, 1usize), (2, 1, 3), (1, 0, 2)] {
-            let w = pruned(3, 7, 5, 21);
-            let x = init::uniform(&mut init::rng(22), &[batch, 5, 9, 11], -1.0, 1.0);
-            let bias: Vec<f32> = (0..7).map(|v| v as f32 * 0.2 - 0.5).collect();
-            let pc = PatternCompressedConv::from_dense(&w, stride, pad).unwrap();
-            let un = UnstructuredSparseConv::from_dense(&w, stride, pad).unwrap();
-            let serial_pc =
-                conv2d_pattern_sparse_with(&x, &pc, Some(&bias), &ExecConfig::serial()).unwrap();
-            let serial_un =
-                conv2d_unstructured_with(&x, &un, Some(&bias), &ExecConfig::serial()).unwrap();
-            for threads in [2usize, 3, 5, 8] {
-                let cfg = ExecConfig::with_threads(threads);
-                let par_pc = conv2d_pattern_sparse_with(&x, &pc, Some(&bias), &cfg).unwrap();
-                let par_un = conv2d_unstructured_with(&x, &un, Some(&bias), &cfg).unwrap();
-                assert_eq!(
-                    serial_pc.as_slice(),
-                    par_pc.as_slice(),
-                    "pattern t={threads}"
-                );
-                assert_eq!(serial_un.as_slice(), par_un.as_slice(), "coo t={threads}");
-            }
-        }
     }
 
     #[test]
@@ -661,35 +617,30 @@ mod tests {
             affine: Some((&scale, &shift)),
             act: Some(rtoss_tensor::EpilogueAct::Relu),
         };
-        for threads in [1usize, 2, 4, 7] {
-            let cfg = ExecConfig::with_threads(threads);
-            // Dirty buffers prove every element is overwritten.
-            let mut got = vec![f32::NAN; 2 * 6 * plane];
-            let shape = conv2d_packed_into(
-                x.as_slice(),
-                x.shape(),
-                pc.pack(),
-                Some(&bias),
-                &epi,
-                &mut got,
-                &cfg,
-            )
-            .unwrap();
-            assert_eq!(shape, [2, 6, 9, 9]);
-            assert_eq!(got, want, "pattern t={threads}");
-            let mut got_un = vec![f32::NAN; 2 * 6 * plane];
-            conv2d_packed_into(
-                x.as_slice(),
-                x.shape(),
-                un.pack(),
-                Some(&bias),
-                &epi,
-                &mut got_un,
-                &cfg,
-            )
-            .unwrap();
-            assert_eq!(got_un, want_un, "coo t={threads}");
-        }
+        // Dirty buffers prove every element is overwritten.
+        let mut got = vec![f32::NAN; 2 * 6 * plane];
+        let shape = conv2d_packed_into(
+            x.as_slice(),
+            x.shape(),
+            pc.pack(),
+            Some(&bias),
+            &epi,
+            &mut got,
+        )
+        .unwrap();
+        assert_eq!(shape, [2, 6, 9, 9]);
+        assert_eq!(got, want, "pattern");
+        let mut got_un = vec![f32::NAN; 2 * 6 * plane];
+        conv2d_packed_into(
+            x.as_slice(),
+            x.shape(),
+            un.pack(),
+            Some(&bias),
+            &epi,
+            &mut got_un,
+        )
+        .unwrap();
+        assert_eq!(got_un, want_un, "coo");
     }
 
     #[test]
@@ -697,7 +648,6 @@ mod tests {
         let w = pruned(3, 4, 2, 33);
         let pc = PatternCompressedConv::from_dense(&w, 1, 1).unwrap();
         let x = init::uniform(&mut init::rng(34), &[1, 2, 5, 5], -1.0, 1.0);
-        let cfg = ExecConfig::serial();
         let mut short = vec![0.0f32; 3];
         assert!(conv2d_packed_into(
             x.as_slice(),
@@ -706,7 +656,6 @@ mod tests {
             None,
             &Epilogue::NONE,
             &mut short,
-            &cfg,
         )
         .is_err());
         let bad_scale = [1.0f32; 3]; // layer has 4 out channels
@@ -722,7 +671,6 @@ mod tests {
                 act: None,
             },
             &mut out,
-            &cfg,
         )
         .is_err());
     }

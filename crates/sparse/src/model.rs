@@ -384,7 +384,7 @@ impl SparseModel {
 
     /// [`forward`](Self::forward) with an explicit [`ExecConfig`]: runs
     /// the [`ExecutionPlan`] compiled (and cached) for the input shape.
-    /// Results are bit-identical for every thread count.
+    /// Results are bit-identical at every width.
     ///
     /// # Errors
     ///
@@ -407,7 +407,9 @@ impl SparseModel {
     /// plan's; the channel-affine and concat steps call the plan's own
     /// `_into` bodies on fresh buffers. Each node's output shape is
     /// checked against the plan's shape inference, and activations are
-    /// dropped after their last consumer.
+    /// dropped after their last consumer. It runs serially on the
+    /// caller; `_exec` is not read and stays only because the
+    /// `benchmark/` package calls this signature.
     ///
     /// # Errors
     ///
@@ -416,7 +418,7 @@ impl SparseModel {
     pub fn forward_interpreted_with(
         &self,
         input: &Tensor,
-        exec: &ExecConfig,
+        _exec: &ExecConfig,
     ) -> Result<Vec<Tensor>, SparseModelError> {
         let shapes = infer_shapes(&self.nodes, input.shape())?;
         let mut remaining = self.uses.clone();
@@ -446,9 +448,12 @@ impl SparseModel {
             let out = match &node.op {
                 // Handled above; nothing is stored for inputs.
                 SparseOp::Input => continue,
-                SparseOp::Conv { layer, bias } => {
-                    conv2d_pattern_sparse_with(get(node.inputs[0])?, layer, Some(bias), exec)?
-                }
+                SparseOp::Conv { layer, bias } => conv2d_pattern_sparse_with(
+                    get(node.inputs[0])?,
+                    layer,
+                    Some(bias),
+                    &ExecConfig::serial(),
+                )?,
                 SparseOp::ChannelAffine { scale, shift } => {
                     let x = get(node.inputs[0])?;
                     let mut out = fresh();

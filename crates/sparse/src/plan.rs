@@ -35,15 +35,13 @@
 //!    genuinely parallel branches. [`run`](ExecutionPlan::run)
 //!    executes the levels in order and fans a level's steps out across
 //!    the persistent [`WorkerPool`] (`exec.threads` caps the width,
-//!    the caller always works too). This replaces the per-call scoped
-//!    intra-op tiling that made the planned path *collapse* under
-//!    threads (par_scaling before the fix: 0.30x at 2 threads, 0.09x
-//!    at 8) — each step now runs its arithmetic serially, and
-//!    parallelism comes from the graph instead. The arena planner
-//!    cooperates: a slot may be reused only by a step in a strictly
-//!    later level than every consumer of the slot's previous tenant,
-//!    so steps that can be concurrently live never alias a slot
-//!    (checked by RV054).
+//!    the caller always works too). This deal is the workspace's only
+//!    concurrency: every op body, convs included, runs serially on
+//!    whichever lane the deal gave its step (RV020 proves the deal
+//!    partitions each level). The arena planner cooperates: a slot may
+//!    be reused only by a step in a strictly later level than every
+//!    consumer of the slot's previous tenant, so steps that can be
+//!    concurrently live never alias a slot (checked by RV054).
 //!
 //! Every transformation is bit-exact: the fused epilogue performs the
 //! same `f32` operations in the same order as the standalone passes,
@@ -51,7 +49,7 @@
 //! level parallelism only changes *which step runs when*, never the
 //! arithmetic inside a step — so planned outputs are **bit-identical**
 //! to the serial plan and to the interpreter oracle
-//! (`SparseModel::forward_interpreted_with`) for every thread count.
+//! (`SparseModel::forward_interpreted_with`) at every width.
 //! `rtoss-verify`'s RV05x family checks the schedule, the arena
 //! assignment, the level structure, and that equivalence on seeded
 //! engines.
@@ -746,22 +744,12 @@ impl ExecutionPlan {
             }
         }
 
-        // Every step runs with serial intra-op arithmetic — the plan's
-        // parallelism is across the graph, not inside a conv.
-        let step_exec = ExecConfig::serial();
         if width <= 1 {
             for si in 0..self.steps.len() {
-                exec_step(
-                    &self.steps,
-                    &model.nodes,
-                    si,
-                    Some(input),
-                    &arena,
-                    &step_exec,
-                )?;
+                exec_step(&self.steps, &model.nodes, si, Some(input), &arena, 1)?;
             }
         } else {
-            self.run_levels(model, input, &arena, pool, width, &step_exec)?;
+            self.run_levels(model, input, &arena, pool, width)?;
         }
 
         let mut outs = Vec::with_capacity(self.outputs.len());
@@ -814,7 +802,6 @@ impl ExecutionPlan {
         arena: &Arc<Arena>,
         pool: &WorkerPool,
         width: usize,
-        step_exec: &ExecConfig,
     ) -> Result<(), SparseModelError> {
         for level in &self.levels {
             let is_pooled = |si: usize| {
@@ -824,9 +811,12 @@ impl ExecutionPlan {
                     .all(|src| !matches!(src, StepSource::Extern))
             };
             let deal = deal_level(level, &is_pooled, width);
-            if deal.pooled.is_empty() {
+            // Lanes this level actually runs on: the caller plus one per
+            // pooled chunk.
+            let lanes = 1 + deal.pooled.len();
+            if lanes == 1 {
                 for &si in &deal.caller {
-                    exec_step(&self.steps, &model.nodes, si, Some(input), arena, step_exec)?;
+                    exec_step(&self.steps, &model.nodes, si, Some(input), arena, lanes)?;
                 }
                 continue;
             }
@@ -839,11 +829,9 @@ impl ExecutionPlan {
                     let nodes = Arc::clone(&model.nodes);
                     let arena = Arc::clone(arena);
                     let first_err = Arc::clone(&first_err);
-                    let step_exec = *step_exec;
                     Box::new(move || {
                         for si in chunk {
-                            if let Err(e) = exec_step(&steps, &nodes, si, None, &arena, &step_exec)
-                            {
+                            if let Err(e) = exec_step(&steps, &nodes, si, None, &arena, lanes) {
                                 let mut slot =
                                     first_err.lock().unwrap_or_else(PoisonError::into_inner);
                                 if slot.is_none() {
@@ -858,8 +846,7 @@ impl ExecutionPlan {
             let batch = pool.submit(tasks);
             let mut caller_err: Option<SparseModelError> = None;
             for &si in &deal.caller {
-                if let Err(e) =
-                    exec_step(&self.steps, &model.nodes, si, Some(input), arena, step_exec)
+                if let Err(e) = exec_step(&self.steps, &model.nodes, si, Some(input), arena, lanes)
                 {
                     caller_err = Some(e);
                     break;
@@ -886,14 +873,15 @@ impl ExecutionPlan {
 /// concurrently-live steps never share a slot (and an explicit aliasing
 /// check below turns any violation into an error instead of a
 /// deadlock). `input` is `None` on pool workers; the level runner keeps
-/// extern-reading steps on the caller.
+/// extern-reading steps on the caller. `width` is the lane count of the
+/// step's level, recorded on its trace span.
 fn exec_step(
     steps: &[PlanStep],
     nodes: &[SparseNode],
     si: usize,
     input: Option<&Tensor>,
     arena: &Arena,
-    exec: &ExecConfig,
+    width: usize,
 ) -> Result<(), SparseModelError> {
     let step = steps
         .get(si)
@@ -901,7 +889,7 @@ fn exec_step(
     let node = nodes
         .get(step.node)
         .ok_or_else(|| plan_err(format!("step {si}: node {} missing", step.node)))?;
-    let _span = step_span(step, node, exec);
+    let _span = step_span(step, node, width);
     let mut out_guard = arena
         .get(step.out_slot)
         .ok_or_else(|| plan_err(format!("step {si}: slot {} missing", step.out_slot)))?
@@ -983,7 +971,7 @@ fn exec_step(
                 act: step.fused_act.and_then(epilogue_act),
             };
             debug_validate(|| layer.validate());
-            conv2d_packed_into(x, xs, layer.pack(), Some(bias), &epi, out, exec)?;
+            conv2d_packed_into(x, xs, layer.pack(), Some(bias), &epi, out)?;
         }
         SparseOp::ChannelAffine { scale, shift } => {
             let (x, xs) = src(0)?;
@@ -1267,17 +1255,18 @@ pub(crate) fn concat_channels_into(
     }
 }
 
-/// Opens the `layer:<name>` trace span for a plan step: node, kind and
-/// width, the plan metadata (fused epilogue kind, arena slot), and the
-/// conv geometry for conv steps. Name and args are built lazily —
-/// nothing allocates unless the span is actually recorded.
-fn step_span(step: &PlanStep, node: &SparseNode, exec: &ExecConfig) -> rtoss_obs::SpanGuard {
+/// Opens the `layer:<name>` trace span for a plan step: node, kind,
+/// the lane count its level ran on, the plan metadata (fused epilogue
+/// kind, arena slot), and the conv geometry for conv steps. Name and
+/// args are built lazily — nothing allocates unless the span is
+/// actually recorded.
+fn step_span(step: &PlanStep, node: &SparseNode, width: usize) -> rtoss_obs::SpanGuard {
     rtoss_obs::span_lazy(|| {
         use rtoss_obs::ArgValue;
         let mut args = vec![
             ("node", ArgValue::U64(step.node as u64)),
             ("kind", ArgValue::Static(node.kind())),
-            ("threads", ArgValue::U64(exec.threads as u64)),
+            ("width", ArgValue::U64(width as u64)),
             ("fused", ArgValue::Static(step.fused_label())),
             ("slot", ArgValue::U64(step.out_slot as u64)),
         ];

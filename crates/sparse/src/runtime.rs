@@ -45,7 +45,8 @@ fn time<F: FnMut() -> Result<Tensor, TensorError>>(
 }
 
 /// Times dense, pattern-sparse, and unstructured execution of one
-/// pruned layer on one input, averaging over `reps` runs.
+/// pruned layer on one input, averaging over `reps` runs. All three
+/// executors are serial.
 ///
 /// # Errors
 ///
@@ -56,24 +57,6 @@ pub fn measure_layer(
     stride: usize,
     pad: usize,
     reps: usize,
-) -> Result<LayerTiming, TensorError> {
-    measure_layer_with(x, weights, stride, pad, reps, &ExecConfig::default())
-}
-
-/// [`measure_layer`] with an explicit [`ExecConfig`]: all three
-/// executors (dense / pattern / unstructured) are timed at the given
-/// thread count, so thread-scaling sweeps compare like with like.
-///
-/// # Errors
-///
-/// Returns an error if the weight/input geometry is invalid.
-pub fn measure_layer_with(
-    x: &Tensor,
-    weights: &Tensor,
-    stride: usize,
-    pad: usize,
-    reps: usize,
-    exec: &ExecConfig,
 ) -> Result<LayerTiming, TensorError> {
     let pc = PatternCompressedConv::from_dense(weights, stride, pad).map_err(|e| {
         TensorError::Invalid {
@@ -87,11 +70,10 @@ pub fn measure_layer_with(
             msg: e.to_string(),
         }
     })?;
-    let dense_s = time(reps, || {
-        ops::conv2d_with(x, weights, None, stride, pad, exec)
-    })?;
-    let pattern_s = time(reps, || conv2d_pattern_sparse_with(x, &pc, None, exec))?;
-    let unstructured_s = time(reps, || conv2d_unstructured_with(x, &un, None, exec))?;
+    let serial = ExecConfig::serial();
+    let dense_s = time(reps, || ops::conv2d(x, weights, None, stride, pad))?;
+    let pattern_s = time(reps, || conv2d_pattern_sparse_with(x, &pc, None, &serial))?;
+    let unstructured_s = time(reps, || conv2d_unstructured_with(x, &un, None, &serial))?;
     Ok(LayerTiming {
         dense_s,
         pattern_s,
@@ -117,7 +99,9 @@ impl ModelTiming {
 }
 
 /// Times one (pruned) detector graph against its compiled sparse engine
-/// on the same input, averaging over `reps` frames.
+/// on the same input, averaging over `reps` frames. The dense graph
+/// runs serially; the engine runs its plan at the process default
+/// width ([`ExecConfig::default`]).
 ///
 /// # Errors
 ///
@@ -126,23 +110,6 @@ pub fn measure_model(
     graph: &mut rtoss_nn::Graph,
     x: &Tensor,
     reps: usize,
-) -> Result<ModelTiming, Box<dyn std::error::Error>> {
-    measure_model_with(graph, x, reps, &ExecConfig::default())
-}
-
-/// [`measure_model`] with an explicit [`ExecConfig`] applied to the
-/// compiled sparse engine's planned forward. (The dense graph side runs
-/// through the layers' own `ops::conv2d` calls, which use the process
-/// default — set `RTOSS_THREADS` to steer both sides together.)
-///
-/// # Errors
-///
-/// Returns an error if the graph cannot be compiled or inference fails.
-pub fn measure_model_with(
-    graph: &mut rtoss_nn::Graph,
-    x: &Tensor,
-    reps: usize,
-    exec: &ExecConfig,
 ) -> Result<ModelTiming, Box<dyn std::error::Error>> {
     let engine = crate::SparseModel::compile(graph)?;
     graph.set_training(false);
@@ -155,10 +122,10 @@ pub fn measure_model_with(
     let dense_s = start.elapsed().as_secs_f64() / reps as f64;
     graph.clear_cache();
 
-    engine.forward_with(x, exec)?; // warm-up
+    engine.forward(x)?; // warm-up
     let start = Instant::now();
     for _ in 0..reps {
-        let y = engine.forward_with(x, exec)?;
+        let y = engine.forward(x)?;
         std::hint::black_box(y[0].as_slice()[0]);
     }
     let sparse_s = start.elapsed().as_secs_f64() / reps as f64;

@@ -1,7 +1,7 @@
 //! Property tests for the register-tiled conv microkernels.
 //!
 //! Two contracts, randomized over shapes, strides, paddings, entry
-//! patterns, bias/epilogue mixes, and thread widths:
+//! patterns, and bias/epilogue mixes:
 //!
 //! 1. **Pack round-trip** — both views of the kernel-major pack
 //!    (pattern and COO) reconstruct the pruned dense weights *bitwise*
@@ -9,7 +9,7 @@
 //!    nothing. (RV090 re-checks this statically per compiled layer.)
 //! 2. **Kernel equivalence** — the tiled driver, fed either pack, with
 //!    and without bias and a fused epilogue, produces bitwise the
-//!    output of the scalar reference executor at every thread width.
+//!    output of the scalar reference executor.
 //!    This is the randomized face of RV092: any divergence in canonical
 //!    accumulation order, padded staging, or ragged-edge writeback
 //!    shows up as a bit flip, not a tolerance failure. (The root
@@ -23,7 +23,7 @@ use rtoss_sparse::exec::{conv2d_packed_into, conv2d_pattern_scalar_into_with};
 use rtoss_sparse::{PatternCompressedConv, UnstructuredSparseConv};
 use rtoss_tensor::exec::Epilogue;
 use rtoss_tensor::ops::out_extent;
-use rtoss_tensor::{init, EpilogueAct, ExecConfig, Tensor};
+use rtoss_tensor::{init, EpilogueAct, Tensor};
 
 /// Random pruned 3×3 weights: `o`×`i` kernels kept to `k_entries` taps.
 fn pruned(o: usize, i: usize, k_entries: usize, seed: u64) -> Tensor {
@@ -96,18 +96,14 @@ proptest! {
         let mut want = vec![f32::NAN; n_out];
         conv2d_pattern_scalar_into_with(
             x.as_slice(), x.shape(), &pc, bias.as_deref(), &epi, &mut want,
-            &ExecConfig::serial(),
         ).unwrap();
-        for threads in 1usize..=4 {
-            let cfg = ExecConfig::with_threads(threads);
-            for (name, pack) in [("pattern", pc.pack()), ("coo", un.pack())] {
-                // NAN-dirty buffers prove every element is overwritten.
-                let mut got = vec![f32::NAN; n_out];
-                conv2d_packed_into(
-                    x.as_slice(), x.shape(), pack, bias.as_deref(), &epi, &mut got, &cfg,
-                ).unwrap();
-                prop_assert_eq!(&got, &want, "{} vs scalar, {} t={}", name, label, threads);
-            }
+        for (name, pack) in [("pattern", pc.pack()), ("coo", un.pack())] {
+            // NAN-dirty buffers prove every element is overwritten.
+            let mut got = vec![f32::NAN; n_out];
+            conv2d_packed_into(
+                x.as_slice(), x.shape(), pack, bias.as_deref(), &epi, &mut got,
+            ).unwrap();
+            prop_assert_eq!(&got, &want, "{} vs scalar, {}", name, label);
         }
     }
 }

@@ -1,17 +1,10 @@
-//! Data-parallel execution configuration and the scoped-thread tiling
-//! helper shared by the dense and sparse convolution executors.
+//! Execution configuration and the fused conv epilogue.
 //!
-//! The executors parallelise over *output-disjoint* tiles — one
-//! `(batch, out-channel)` output plane (or a contiguous block of them)
-//! per tile, carved out of the output buffer with `chunks_mut`. Every
-//! tile owns its `&mut` slice exclusively, so workers never synchronise
-//! on the hot path; `std::thread::scope` is the only machinery used (no
-//! external thread-pool dependency — the workspace is offline/vendored).
-//!
-//! Within a tile, each output element is accumulated in exactly the
-//! same floating-point order as the single-threaded executor, so
-//! results are **bit-identical** for every thread count, and
-//! `threads = 1` takes the plain serial loop with zero spawn overhead.
+//! Every op body in the workspace is serial. The one place work runs in
+//! parallel is the compiled execution plan, which deals the independent
+//! steps of a dependency level across the persistent
+//! [`WorkerPool`](crate::pool::WorkerPool); [`ExecConfig::threads`] is
+//! that deal's width and nothing else.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -48,8 +41,7 @@ pub fn default_threads() -> usize {
 /// plane inside the tiled executors, after the plane's accumulation
 /// finishes, so results are bit-identical to running the affine and
 /// activation as standalone elementwise passes (`act(scale*v + shift)`
-/// performs the exact same `f32` operations in the same order), for
-/// every thread count.
+/// performs the exact same `f32` operations in the same order).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Epilogue<'a> {
     /// Per-channel affine `v ← scale[c] * v + shift[c]` (folded BN).
@@ -150,16 +142,18 @@ impl Epilogue<'_> {
     }
 }
 
-/// How an executor spreads its tile work across threads.
+/// How wide a compiled execution plan runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Worker threads to tile across (clamped to ≥ 1 at use sites;
-    /// `1` means the plain serial path).
+    /// The plan's graph-level width: how many independent steps of one
+    /// dependency level may run at once on the worker pool (clamped to
+    /// ≥ 1; `1` runs the steps in schedule order on the caller). Op
+    /// bodies never read it.
     pub threads: usize,
 }
 
 impl ExecConfig {
-    /// The serial configuration: one thread, today's classic loops.
+    /// The serial configuration: width 1.
     pub fn serial() -> Self {
         ExecConfig { threads: 1 }
     }
@@ -186,63 +180,9 @@ impl Default for ExecConfig {
     }
 }
 
-/// The worker count [`run_tiles`] actually spawns for a tile count and
-/// a requested thread count: clamped to at least 1 and at most one
-/// worker per tile.
-pub fn effective_threads(n_tiles: usize, threads: usize) -> usize {
-    threads.max(1).min(n_tiles.max(1))
-}
-
-/// The worker bucket tile `tile_index` is dealt to when `run_tiles`
-/// spreads tiles round-robin across `threads` workers. Exposed so the
-/// static executor checks in `rtoss-verify` prove the partition the
-/// runtime *actually uses* is disjoint and exhaustive, rather than a
-/// re-derivation of it.
-pub fn bucket_of(tile_index: usize, threads: usize) -> usize {
-    tile_index % threads.max(1)
-}
-
-/// Runs `f` over every tile, spread across up to `threads` scoped
-/// threads.
-///
-/// Tiles are dealt round-robin to workers (see [`bucket_of`]), so
-/// equal-cost tiles balance without a shared work queue. Tiles
-/// typically carry disjoint `&mut` output slices (from `chunks_mut`),
-/// which is what makes this safe without any locking. With
-/// `threads <= 1` (or a single tile) the tiles run inline on the
-/// caller's thread in order.
-pub fn run_tiles<T, F>(tiles: Vec<T>, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(T) + Sync,
-{
-    let threads = effective_threads(tiles.len(), threads);
-    if threads == 1 {
-        for t in tiles {
-            f(t);
-        }
-        return;
-    }
-    let mut buckets: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, t) in tiles.into_iter().enumerate() {
-        buckets[bucket_of(i, threads)].push(t);
-    }
-    std::thread::scope(|s| {
-        for bucket in buckets {
-            let f = &f;
-            s.spawn(move || {
-                for t in bucket {
-                    f(t);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn epilogue_matches_separate_passes() {
@@ -278,52 +218,5 @@ mod tests {
         assert_eq!(ExecConfig::with_threads(0).threads, 1);
         assert_eq!(ExecConfig::serial().threads, 1);
         assert!(ExecConfig::default().threads >= 1);
-    }
-
-    #[test]
-    fn run_tiles_visits_every_tile_once() {
-        for threads in [1usize, 2, 4, 8] {
-            let mut out = [0u8; 37];
-            let tiles: Vec<(usize, &mut [u8])> = out.chunks_mut(5).enumerate().collect();
-            let visits = AtomicUsize::new(0);
-            run_tiles(tiles, threads, |(i, tile)| {
-                visits.fetch_add(1, Ordering::Relaxed);
-                for v in tile.iter_mut() {
-                    *v = i as u8 + 1;
-                }
-            });
-            assert_eq!(visits.load(Ordering::Relaxed), 8, "threads={threads}");
-            assert!(out.iter().all(|&v| v != 0), "threads={threads}");
-            // Tile i covers elements [5i, 5i+5): check the mapping held.
-            assert_eq!(out[0], 1);
-            assert_eq!(out[36], 8);
-        }
-    }
-
-    #[test]
-    fn bucket_assignment_partitions_tiles() {
-        for threads in 1..=8usize {
-            for n_tiles in 0..20usize {
-                let eff = effective_threads(n_tiles, threads);
-                assert!(eff >= 1 && eff <= threads.max(1));
-                let mut per_bucket = vec![0usize; eff];
-                for i in 0..n_tiles {
-                    let b = bucket_of(i, eff);
-                    assert!(b < eff, "tile {i} -> bucket {b} of {eff}");
-                    per_bucket[b] += 1;
-                }
-                assert_eq!(per_bucket.iter().sum::<usize>(), n_tiles);
-            }
-        }
-        assert_eq!(bucket_of(5, 0), 0, "zero threads clamps to one bucket");
-    }
-
-    #[test]
-    fn run_tiles_handles_empty_and_oversubscribed() {
-        run_tiles(Vec::<usize>::new(), 4, |_| panic!("no tiles to run"));
-        let mut out = [0u8; 2];
-        let tiles: Vec<&mut [u8]> = out.chunks_mut(1).collect();
-        run_tiles(tiles, 16, |t| t[0] = 9);
-        assert_eq!(out, [9, 9]);
     }
 }

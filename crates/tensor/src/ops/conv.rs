@@ -6,9 +6,8 @@
 //! that exploits R-TOSS masks.
 
 use super::matmul::{matmul, matmul_transpose_a, matmul_transpose_b};
-use crate::exec::{run_tiles, ExecConfig};
+use crate::exec::ExecConfig;
 use crate::{Tensor, TensorError};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Output spatial extent for one dimension: `(input + 2·pad − kernel) /
 /// stride + 1`, or `None` when the kernel does not fit the padded input
@@ -194,7 +193,8 @@ pub fn col2im(
     Tensor::from_vec(out, &[c, h, w])
 }
 
-/// Dense 2-D convolution: `x (N,C,H,W) * w (O,C,kh,kw) → (N,O,oh,ow)`.
+/// Dense 2-D convolution: `x (N,C,H,W) * w (O,C,kh,kw) → (N,O,oh,ow)`,
+/// one im2col matmul per image on the calling thread.
 ///
 /// # Errors
 ///
@@ -208,28 +208,6 @@ pub fn conv2d(
     stride: usize,
     pad: usize,
 ) -> Result<Tensor, TensorError> {
-    conv2d_with(x, w, bias, stride, pad, &ExecConfig::default())
-}
-
-/// [`conv2d`] with an explicit [`ExecConfig`].
-///
-/// With `exec.threads > 1` the output is tiled across
-/// `(batch, out-channel-block)` tiles — each worker runs the im2col
-/// matmul for a disjoint block of output rows — so no synchronisation
-/// is needed and results stay bit-identical to the serial path for
-/// every thread count. `threads = 1` runs the classic streaming loop.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d`].
-pub fn conv2d_with(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&[f32]>,
-    stride: usize,
-    pad: usize,
-    exec: &ExecConfig,
-) -> Result<Tensor, TensorError> {
     let (n, c, h, wd, o, kh, kw, oh, ow) = check_conv_args(x, w, stride, pad)?;
     let _span = rtoss_obs::span_lazy(|| {
         use rtoss_obs::ArgValue;
@@ -240,7 +218,6 @@ pub fn conv2d_with(
                 ("c", ArgValue::U64(c as u64)),
                 ("oc", ArgValue::U64(o as u64)),
                 ("k", ArgValue::U64(kh as u64)),
-                ("threads", ArgValue::U64(exec.threads.max(1) as u64)),
             ],
         )
     });
@@ -256,102 +233,42 @@ pub fn conv2d_with(
     let mut out = vec![0.0f32; n * o * oh * ow];
     let img_elems = c * h * wd;
     let out_plane = oh * ow;
-    let threads = exec.threads.max(1);
-    // Serial body: one im2col buffer live at a time. Also the fallback
-    // when a parallel tile fails — tile closures cannot return errors,
-    // so a poisoned parallel run is redone here where the `?`s surface
-    // the precise failure.
-    let serial = |out: &mut [f32]| -> Result<(), TensorError> {
-        for ni in 0..n {
-            let img = Tensor::from_vec(
-                x.as_slice()[ni * img_elems..(ni + 1) * img_elems].to_vec(),
-                &[c, h, wd],
-            )?;
-            let cols = im2col(&img, kh, kw, stride, pad)?;
-            let y = matmul(&wmat, &cols)?; // (O, oh*ow)
-            let dst = &mut out[ni * o * out_plane..(ni + 1) * o * out_plane];
-            dst.copy_from_slice(y.as_slice());
-            if let Some(b) = bias {
-                for (oc, &bo) in b.iter().enumerate() {
-                    for v in &mut dst[oc * out_plane..(oc + 1) * out_plane] {
-                        *v += bo;
-                    }
+    for ni in 0..n {
+        let img = Tensor::from_vec(
+            x.as_slice()[ni * img_elems..(ni + 1) * img_elems].to_vec(),
+            &[c, h, wd],
+        )?;
+        let cols = im2col(&img, kh, kw, stride, pad)?;
+        let y = matmul(&wmat, &cols)?; // (O, oh*ow)
+        let dst = &mut out[ni * o * out_plane..(ni + 1) * o * out_plane];
+        dst.copy_from_slice(y.as_slice());
+        if let Some(b) = bias {
+            for (oc, &bo) in b.iter().enumerate() {
+                for v in &mut dst[oc * out_plane..(oc + 1) * out_plane] {
+                    *v += bo;
                 }
             }
         }
-        Ok(())
-    };
-    if threads == 1 {
-        serial(&mut out)?;
-        return Tensor::from_vec(out, &[n, o, oh, ow]);
-    }
-
-    // Parallel path. Phase 1: unfold every image (one tile per image).
-    let poisoned = AtomicBool::new(false);
-    let mut cols: Vec<Option<Tensor>> = (0..n).map(|_| None).collect();
-    {
-        let col_tiles: Vec<(usize, &mut Option<Tensor>)> = cols.iter_mut().enumerate().collect();
-        run_tiles(col_tiles, threads, |(ni, slot)| {
-            let Ok(img) = Tensor::from_vec(
-                x.as_slice()[ni * img_elems..(ni + 1) * img_elems].to_vec(),
-                &[c, h, wd],
-            ) else {
-                poisoned.store(true, Ordering::Release);
-                return;
-            };
-            match im2col(&img, kh, kw, stride, pad) {
-                Ok(c) => *slot = Some(c),
-                Err(_) => poisoned.store(true, Ordering::Release),
-            }
-        });
-    }
-    if !poisoned.load(Ordering::Acquire) {
-        // Phase 2: (batch, out-channel-block) tiles over the output
-        // buffer. Splitting wmat by rows never changes any element's
-        // accumulation order, so every thread count produces the same
-        // bits.
-        let blocks_per_img = threads.div_ceil(n.max(1)).min(o).max(1);
-        let rows_per_block = o.div_ceil(blocks_per_img).max(1);
-        let wd_mat = wmat.as_slice();
-        let krows = c * kh * kw;
-        let mut tiles: Vec<(usize, usize, &mut [f32])> = Vec::with_capacity(n * blocks_per_img);
-        for (ni, img_out) in out.chunks_mut(o * out_plane).enumerate() {
-            for (bi, block) in img_out.chunks_mut(rows_per_block * out_plane).enumerate() {
-                tiles.push((ni, bi * rows_per_block, block));
-            }
-        }
-        run_tiles(tiles, threads, |(ni, oc0, block)| {
-            let rows = block.len() / out_plane;
-            let Ok(wblock) = Tensor::from_vec(
-                wd_mat[oc0 * krows..(oc0 + rows) * krows].to_vec(),
-                &[rows, krows],
-            ) else {
-                poisoned.store(true, Ordering::Release);
-                return;
-            };
-            let Some(cols) = cols[ni].as_ref() else {
-                poisoned.store(true, Ordering::Release);
-                return;
-            };
-            let Ok(y) = matmul(&wblock, cols) else {
-                poisoned.store(true, Ordering::Release);
-                return;
-            };
-            block.copy_from_slice(y.as_slice());
-            if let Some(b) = bias {
-                for r in 0..rows {
-                    let bo = b[oc0 + r];
-                    for v in &mut block[r * out_plane..(r + 1) * out_plane] {
-                        *v += bo;
-                    }
-                }
-            }
-        });
-    }
-    if poisoned.load(Ordering::Acquire) {
-        serial(&mut out)?;
     }
     Tensor::from_vec(out, &[n, o, oh, ow])
+}
+
+/// [`conv2d`] with an [`ExecConfig`] it does not read: the op is
+/// serial. The argument stays only because the `benchmark/` package
+/// calls this signature.
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d`].
+pub fn conv2d_with(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&[f32]>,
+    stride: usize,
+    pad: usize,
+    _exec: &ExecConfig,
+) -> Result<Tensor, TensorError> {
+    conv2d(x, w, bias, stride, pad)
 }
 
 /// Gradients produced by [`conv2d_backward`].
@@ -584,31 +501,6 @@ mod tests {
         // dL/db_o = number of (batch, spatial) positions = 2*4*4.
         for &gb in &g.grad_bias {
             assert!((gb - 32.0).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn parallel_conv_is_bit_identical_to_serial() {
-        for &(n, c, h, w, o, k, s, p) in &[
-            (
-                3usize, 4usize, 9usize, 9usize, 6usize, 3usize, 1usize, 1usize,
-            ),
-            (1, 2, 7, 8, 5, 3, 2, 1),
-            (2, 3, 6, 6, 4, 1, 1, 0),
-        ] {
-            let x = rand_t(41, &[n, c, h, w]);
-            let wt = rand_t(42, &[o, c, k, k]);
-            let b: Vec<f32> = (0..o).map(|i| i as f32 * 0.05).collect();
-            let serial = conv2d_with(&x, &wt, Some(&b), s, p, &ExecConfig::serial()).unwrap();
-            for threads in [2usize, 3, 4, 8] {
-                let par = conv2d_with(&x, &wt, Some(&b), s, p, &ExecConfig::with_threads(threads))
-                    .unwrap();
-                assert_eq!(
-                    serial.as_slice(),
-                    par.as_slice(),
-                    "threads={threads} diverged from serial"
-                );
-            }
         }
     }
 

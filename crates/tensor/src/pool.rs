@@ -1,15 +1,13 @@
-//! Persistent work-stealing worker pool for graph-level parallelism.
+//! Persistent work-stealing worker pool: the workspace's one parallel
+//! runtime.
 //!
-//! The intra-op tiling helper ([`run_tiles`](crate::exec::run_tiles))
-//! spawns scoped threads *per call*, which is fine for a single large
-//! dense conv but collapses when a compiled execution plan issues
-//! dozens of small fused convs per forward — par_scaling measured the
-//! planned path at 0.30x with 2 threads and 0.09x with 8 before this
-//! module existed. A [`WorkerPool`] is the fix's substrate: worker
-//! threads are spawned **once** (lazily, for [`WorkerPool::global`])
-//! and reused across forwards, and callers hand them batches of
-//! independent tasks (e.g. the steps of one dependency level of an
-//! execution plan).
+//! Every op body is serial; the compiled execution plan is the only
+//! caller that fans out, dealing the independent steps of one
+//! dependency level to this pool. Worker threads are spawned **once**
+//! (lazily, for [`WorkerPool::global`]) and reused across forwards, so
+//! no forward pays a thread spawn — the per-call scoped threads the
+//! ops used to spawn made the planned path 0.30x as fast at 2 threads
+//! and 0.09x at 8 before this pool existed.
 //!
 //! Scheduling is work-stealing over per-worker deques: a submitted
 //! batch is dealt round-robin across the deques, each worker drains its

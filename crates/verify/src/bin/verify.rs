@@ -47,8 +47,9 @@ fn check_one(label: &str, entry: EntryPattern, report: &mut Report) -> Result<()
                 d
             }),
     );
-    // Plan checks (RV050/RV051/RV052): schedule, arena, and planned ≡
-    // interpreted bit-identity on a seeded probe, serial and tiled.
+    // Plan checks (RV020/RV05x/RV070): schedule, arena, level deal,
+    // races, and planned ≡ interpreted bit-identity on a seeded probe,
+    // serial and level-parallel.
     let probe = rtoss_tensor::init::uniform(&mut rtoss_tensor::init::rng(0x5EED), &INPUT, 0.0, 1.0);
     report.extend(
         rtoss_verify::check_execution_plan(&engine, &probe, &[1, 4])
@@ -152,11 +153,7 @@ fn full_run(json: bool) -> ExitCode {
             }
         }
     }
-    // Executor invariants are model-independent: prove the tile dealing
-    // for a spread of tile counts and the serving histogram geometry.
-    for n_tiles in [0, 1, 3, 8, 33, 128] {
-        report.extend(rtoss_verify::check_tile_partition(n_tiles, 8).diagnostics);
-    }
+    // The serving histogram geometry is model-independent.
     report.extend(rtoss_verify::check_histogram_buckets().diagnostics);
     // Fleet invariants: ring coverage for a spread of fleet sizes, the
     // default degradation controller over the seed tier stack, and

@@ -1,110 +1,81 @@
-//! Executor checks: tile-partition soundness and latency-histogram
-//! bucket geometry (RV020/RV021).
+//! Executor checks: the plan's level deal partitions every level
+//! (RV020), and latency-histogram bucket geometry (RV021).
 //!
-//! The parallel executor deals (batch × out-channel) tiles to worker
-//! threads; correctness requires the dealt buckets to *partition* the
-//! tile range — every tile in exactly one bucket, no bucket out of
-//! range. [`check_tile_partition`] proves that for the real dealing
-//! functions ([`rtoss_tensor::exec::bucket_of`] /
-//! [`effective_threads`]) across every thread count up to a bound, and
-//! [`check_tile_partition_buckets`] checks an arbitrary materialised
-//! assignment (used by the corruption fixtures).
+//! The compiled plan's level deal is the workspace's only concurrency:
+//! `ExecutionPlan::run_with_pool` hands each dependency level's steps
+//! to the caller lane and to pool chunks ([`LevelDeal`]). A step dealt
+//! twice runs twice and races itself on its output slot; a step dealt
+//! nowhere never runs, and its consumers read a stale slot. So the
+//! caller lane and the pooled chunks must *partition* the level's
+//! steps. [`check_level_deals`] proves that for the deal the runner
+//! executes — [`PlanSummary::level_schedule`] shares its dealing code
+//! with the runner — at every width up to a bound, and
+//! [`check_level_deal`] checks one deal (used by the corruption
+//! fixture).
 //!
 //! The serving histogram's bucket boundaries must be strictly
 //! monotonic with half-open `(upper(i-1), upper(i)]` ranges;
 //! [`check_histogram_buckets`] proves it for
 //! [`rtoss_serve::LatencyHistogram`] and
 //! [`check_histogram_mapping`] for any `(upper, index)` pair.
-//!
-//! [`effective_threads`]: rtoss_tensor::exec::effective_threads
 
 use crate::diag::{Diagnostic, Report};
 use rtoss_serve::LatencyHistogram;
-use rtoss_tensor::exec::{bucket_of, effective_threads};
+use rtoss_sparse::{LevelDeal, PlanSummary};
+use std::collections::BTreeMap;
 
-/// Checks that `buckets` partitions the tile range `0..n_tiles`:
-/// no out-of-range index, no duplicate, no missing tile.
-pub fn check_tile_partition_buckets(
-    location: &str,
-    n_tiles: usize,
-    buckets: &[Vec<usize>],
-) -> Vec<Diagnostic> {
+/// Checks that `deal` partitions the steps of `level` (RV020): every
+/// step the caller lane (lane 0) or a pooled chunk (lanes 1..) runs
+/// belongs to the level, none runs twice, none is left out.
+pub fn check_level_deal(location: &str, level: &[usize], deal: &LevelDeal) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let mut owner: Vec<Option<usize>> = vec![None; n_tiles];
-    for (b, tiles) in buckets.iter().enumerate() {
-        for &t in tiles {
-            if t >= n_tiles {
-                out.push(Diagnostic::error(
+    let mut owner: BTreeMap<usize, Option<usize>> = level.iter().map(|&si| (si, None)).collect();
+    let lanes = std::iter::once(&deal.caller).chain(&deal.pooled);
+    for (lane, steps) in lanes.enumerate() {
+        for &si in steps {
+            match owner.get_mut(&si) {
+                None => out.push(Diagnostic::error(
                     "RV020",
                     location,
-                    format!("bucket {b} claims tile {t}, but only {n_tiles} tiles exist"),
-                ));
-                continue;
-            }
-            match owner[t] {
-                Some(prev) => out.push(Diagnostic::error(
-                    "RV020",
-                    location,
-                    format!("tile {t} dealt to both bucket {prev} and bucket {b} (overlap)"),
+                    format!("lane {lane} runs step {si}, which is not in this level"),
                 )),
-                None => owner[t] = Some(b),
+                Some(Some(prev)) => out.push(Diagnostic::error(
+                    "RV020",
+                    location,
+                    format!("step {si} dealt to both lane {prev} and lane {lane} (runs twice)"),
+                )),
+                Some(slot) => *slot = Some(lane),
             }
         }
     }
-    for (t, o) in owner.iter().enumerate() {
-        if o.is_none() {
+    for (si, lane) in owner {
+        if lane.is_none() {
             out.push(Diagnostic::error(
                 "RV020",
                 location,
-                format!("tile {t} dealt to no bucket (work lost)"),
+                format!("step {si} dealt to no lane (never runs)"),
             ));
         }
     }
     out
 }
 
-/// Materialises the executor's round-robin dealing for one
-/// `(n_tiles, threads)` configuration, exactly as `run_tiles` does.
-pub fn dealt_buckets(n_tiles: usize, threads: usize) -> Vec<Vec<usize>> {
-    let eff = effective_threads(n_tiles, threads);
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); eff];
-    for tile in 0..n_tiles {
-        let b = bucket_of(tile, eff);
-        // An out-of-range bucket would panic here in the executor too;
-        // surface it as a (reportable) overflow bucket instead.
-        if b < eff {
-            buckets[b].push(tile);
-        } else {
-            buckets.push(vec![tile]);
-        }
-    }
-    buckets
-}
-
-/// Proves the executor's tile dealing partitions `0..n_tiles` for every
-/// thread count in `1..=max_threads`, and that no worker idles while
-/// others hold multiple tiles (balance within one tile).
-pub fn check_tile_partition(n_tiles: usize, max_threads: usize) -> Report {
-    let mut report = Report::new();
-    for threads in 1..=max_threads.max(1) {
-        let loc = format!("run_tiles(n_tiles={n_tiles}, threads={threads})");
-        let buckets = dealt_buckets(n_tiles, threads);
-        report.extend(check_tile_partition_buckets(&loc, n_tiles, &buckets));
-        let (min, max) = buckets.iter().fold((usize::MAX, 0), |(lo, hi), b| {
-            (lo.min(b.len()), hi.max(b.len()))
-        });
-        if !buckets.is_empty() && max > min + 1 {
-            report.push(Diagnostic::error(
-                "RV020",
-                loc,
-                format!(
-                    "round-robin dealing is unbalanced: bucket sizes range {min}..={max} \
-                     (must differ by at most one tile)"
-                ),
+/// Proves the level deal the plan runner executes partitions every
+/// dependency level of `s` at each width in `1..=max_width` (RV020).
+pub fn check_level_deals(location: &str, s: &PlanSummary, max_width: usize) -> Vec<Diagnostic> {
+    let groups = s.level_groups();
+    let mut out = Vec::new();
+    for width in 1..=max_width.max(1) {
+        let schedule = s.level_schedule(width);
+        for (li, (level, deal)) in groups.iter().zip(&schedule.levels).enumerate() {
+            out.extend(check_level_deal(
+                &format!("{location} width={width} level={li}"),
+                level,
+                deal,
             ));
         }
     }
-    report
+    out
 }
 
 /// Checks an arbitrary histogram bucket geometry: `upper(i)` strictly
@@ -178,21 +149,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn real_dealing_partitions_for_all_thread_counts() {
-        for n_tiles in [0, 1, 3, 7, 16, 33] {
-            let report = check_tile_partition(n_tiles, 8);
-            assert!(!report.has_errors(), "{}", report.render());
-        }
-    }
-
-    #[test]
-    fn corrupted_partition_is_rv020() {
-        // Tile 0 dealt twice, tile 2 never dealt.
-        let buckets = vec![vec![0, 1], vec![0, 3]];
-        let ds = check_tile_partition_buckets("fixture", 4, &buckets);
-        assert!(ds.iter().any(|d| d.message.contains("overlap")), "{ds:?}");
-        assert!(ds.iter().any(|d| d.message.contains("no bucket")), "{ds:?}");
+    fn dropped_and_doubled_steps_are_rv020() {
+        let m = rtoss_models::yolov5s_twin(4, 2, 0xD1).expect("twin builds");
+        let engine = rtoss_sparse::SparseModel::compile(&m.graph).expect("compiles");
+        let s = engine.plan_summary(&[1, 3, 32, 32]).expect("plans");
+        let level = s
+            .level_groups()
+            .into_iter()
+            .find(|l| l.len() >= 2)
+            .expect("the twin has a level with two steps");
+        // Step level[0] dealt to the caller and a worker; level[1] to
+        // nobody.
+        let deal = LevelDeal {
+            caller: vec![level[0]],
+            pooled: vec![vec![level[0]]],
+        };
+        let ds = check_level_deal("corrupt", &level, &deal);
+        assert!(
+            ds.iter().any(|d| d.message.contains("runs twice")),
+            "{ds:?}"
+        );
+        assert!(
+            ds.iter().any(|d| d.message.contains("never runs")),
+            "{ds:?}"
+        );
         assert!(ds.iter().all(|d| d.code == "RV020"));
+        let stray = LevelDeal {
+            caller: level.clone(),
+            pooled: vec![vec![usize::MAX]],
+        };
+        let ds = check_level_deal("stray", &level, &stray);
+        assert!(
+            ds.iter().any(|d| d.message.contains("not in this level")),
+            "{ds:?}"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! happens, which is how CI proves the checks can actually fail.
 
 use crate::diag::Report;
-use crate::exec::{check_histogram_mapping, check_tile_partition_buckets};
+use crate::exec::{check_histogram_mapping, check_level_deal};
 use crate::lint::lint_source;
 use crate::model::{check_model, chunk_bits};
 use crate::sparse::check_pattern_layer;
@@ -263,15 +263,27 @@ pub fn format_fixture() -> Report {
     report
 }
 
-/// Tile partition: one tile dealt to two buckets, another to none
-/// (RV020).
+/// Level deal: the fixture engine's two-branch level is dealt with its
+/// first step on both the caller and a worker and its second step on
+/// neither — one step would run twice, the other never (RV020).
 pub fn tiles_fixture() -> Report {
-    let buckets = vec![vec![0, 1, 2], vec![2, 4, 5], vec![7]];
+    let summary = plan_fixture_engine()
+        .plan_summary(&[1, 3, 8, 8])
+        .expect("plan compiles for the fixture engine");
+    let level = summary
+        .level_groups()
+        .into_iter()
+        .find(|l| l.len() >= 2)
+        .expect("fixture engine has a parallel level");
+    let deal = rtoss_sparse::LevelDeal {
+        caller: vec![level[0]],
+        pooled: vec![vec![level[0]]],
+    };
     let mut report = Report::new();
-    report.extend(check_tile_partition_buckets(
-        "fixture partition (6 tiles)",
-        6,
-        &buckets,
+    report.extend(check_level_deal(
+        "fixture plan (doubled and dropped step)",
+        &level,
+        &deal,
     ));
     report
 }

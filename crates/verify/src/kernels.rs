@@ -27,7 +27,7 @@
 use crate::diag::{Diagnostic, Report};
 use rtoss_nn::{Graph, NodeOp};
 use rtoss_sparse::exec::{conv2d_packed_into, conv2d_pattern_scalar_into_with};
-use rtoss_sparse::{coo_from_pattern, ExecConfig, Pack, PatternCompressedConv, SparseModel};
+use rtoss_sparse::{coo_from_pattern, Pack, PatternCompressedConv, SparseModel};
 use rtoss_tensor::exec::Epilogue;
 use rtoss_tensor::Tensor;
 
@@ -91,7 +91,6 @@ pub fn check_packs_match_scalar(
         .map(|i| ((i % 23) as f32) * 0.125 - 1.375)
         .collect();
     let bias = vec![0.25f32; layer.out_channels()];
-    let exec = ExecConfig::serial();
     let out_len = match rtoss_sparse::exec::conv_output_shape(
         x_shape,
         layer.in_channels(),
@@ -119,7 +118,6 @@ pub fn check_packs_match_scalar(
         Some(&bias),
         &Epilogue::NONE,
         &mut reference,
-        &exec,
     ) {
         out.push(Diagnostic::error(
             "RV092",
@@ -130,15 +128,7 @@ pub fn check_packs_match_scalar(
     }
     let mut got = vec![0.0f32; out_len];
     for &(label, pack) in packs {
-        match conv2d_packed_into(
-            &x,
-            x_shape,
-            pack,
-            Some(&bias),
-            &Epilogue::NONE,
-            &mut got,
-            &exec,
-        ) {
+        match conv2d_packed_into(&x, x_shape, pack, Some(&bias), &Epilogue::NONE, &mut got) {
             Ok(_) => {
                 let diffs = got
                     .iter()

@@ -5,7 +5,7 @@
 //! passes here check that it actually satisfies the invariants the
 //! paper's algorithms promise — pattern legality (Algorithm 2), group
 //! consistency (Algorithm 1), 1×1 round-trip residue (Algorithm 3),
-//! sparse-format well-formedness, tile-partition soundness, and
+//! sparse-format well-formedness, level-deal soundness, and
 //! histogram bucket geometry — and a source lint keeps panic-capable
 //! calls out of the serving/execution hot paths.
 //!
@@ -33,7 +33,7 @@
 //! | RV012 | sparse | no explicit zeros stored |
 //! | RV013 | sparse | COO entries sorted, in-bounds, non-zero |
 //! | RV014 | sparse | every stored weight survives dense reconstruction |
-//! | RV020 | exec   | tile buckets partition the tile range |
+//! | RV020 | exec   | the plan's level deal partitions every level's steps at every width |
 //! | RV021 | exec   | histogram boundaries strictly increasing, half-open |
 //! | RV030 | lint   | no panic-capable call in a hot path |
 //! | RV031 | lint   | every `unsafe` carries a `// SAFETY:` comment |
@@ -84,7 +84,7 @@ pub mod trace;
 
 pub use concurrency::{check_plan_hb, shadow_replay, ModelDeps};
 pub use diag::{Diagnostic, Report, Severity};
-pub use exec::{check_histogram_buckets, check_tile_partition};
+pub use exec::{check_histogram_buckets, check_level_deal, check_level_deals};
 pub use fleet::{check_fleet_ledger, check_fleet_replicas, check_hash_ring, check_tier_controller};
 pub use kernels::{check_model_kernels, check_pack, check_packs_match_scalar};
 pub use lint::{lint_paths, lint_source};

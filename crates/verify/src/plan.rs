@@ -347,7 +347,8 @@ pub fn check_outputs_bit_identical(
 
 /// Runs the full RV05x family against a live engine: compiles a plan
 /// for `input`'s shape, checks the schedule (RV050), arena (RV051),
-/// and levelled parallel schedule (RV054), then executes the planned
+/// levelled parallel schedule (RV054), the runner's level deal at
+/// widths 1..=8 (RV020) and race freedom (RV070), then executes the planned
 /// and interpreted forward passes at each thread count in `threads`
 /// and proves them bit-identical (RV052). The planned pass runs twice
 /// per thread count — once through the public entry (process-global
@@ -372,6 +373,7 @@ pub fn check_execution_plan(model: &SparseModel, input: &Tensor, threads: &[usiz
     report.extend(check_plan_schedule(&loc, &summary));
     report.extend(check_plan_arena(&loc, &summary));
     report.extend(check_plan_levels(&loc, &summary));
+    report.extend(crate::exec::check_level_deals(&loc, &summary, 8));
     let deps = crate::concurrency::ModelDeps::of(model);
     report.extend(crate::concurrency::check_plan_hb(
         &loc, &deps, &summary, threads,

@@ -262,12 +262,12 @@ proptest! {
             // prove every element is overwritten).
             let mut want = vec![f32::NAN; dense.numel()];
             conv2d_pattern_scalar_into_with(
-                x.as_slice(), x.shape(), &pc, Some(bias), &Epilogue::NONE, &mut want, &serial,
+                x.as_slice(), x.shape(), &pc, Some(bias), &Epilogue::NONE, &mut want,
             ).expect("scalar reference");
             for (name, pack) in [("pattern", pc.pack()), ("coo", un.pack())] {
                 let mut got = vec![f32::NAN; dense.numel()];
                 conv2d_packed_into(
-                    x.as_slice(), x.shape(), pack, Some(bias), &Epilogue::NONE, &mut got, &serial,
+                    x.as_slice(), x.shape(), pack, Some(bias), &Epilogue::NONE, &mut got,
                 ).expect("tiled driver");
                 prop_assert_eq!(&got, &want, "{} {} pack vs scalar", what, name);
             }
@@ -292,46 +292,6 @@ proptest! {
         for (orig, part) in xs.iter().zip(&parts) {
             prop_assert_eq!(orig, part);
         }
-    }
-
-    #[test]
-    fn parallel_executors_bit_identical_to_serial_across_geometry(
-        seed in 0u64..1000,
-        k in 2usize..=4,
-        o in 1usize..6,
-        c in 1usize..4,
-        h in 4usize..10,
-        wid in 4usize..10,
-        stride in 1usize..=3,
-        pad in 0usize..=2,
-        batch in 1usize..=3,
-        threads in 1usize..=8,
-    ) {
-        let mut rng = rtoss::tensor::init::rng(seed);
-        let mut w = rtoss::tensor::init::uniform(&mut rng, &[o, c, 3, 3], -1.0, 1.0);
-        let x = rtoss::tensor::init::uniform(&mut rng, &[batch, c, h, wid], -1.0, 1.0);
-        let bias_t = rtoss::tensor::init::uniform(&mut rng, &[o], -1.0, 1.0);
-        let bias = bias_t.as_slice();
-        let set = canonical_set(k).expect("valid k");
-        prune_3x3_weights(&mut w, &set).expect("prunes");
-        let serial = ExecConfig::serial();
-        let par = ExecConfig::with_threads(threads);
-
-        // Dense tiled path: threads=1 is the exact legacy loop, so the
-        // parallel result must be bit-identical to it, not just close.
-        let d1 = ops::conv2d_with(&x, &w, Some(bias), stride, pad, &serial).expect("conv");
-        let d2 = ops::conv2d_with(&x, &w, Some(bias), stride, pad, &par).expect("conv");
-        prop_assert_eq!(d1.as_slice(), d2.as_slice());
-
-        let pc = PatternCompressedConv::from_dense(&w, stride, pad).expect("compress");
-        let p1 = conv2d_pattern_sparse_with(&x, &pc, Some(bias), &serial).expect("conv");
-        let p2 = conv2d_pattern_sparse_with(&x, &pc, Some(bias), &par).expect("conv");
-        prop_assert_eq!(p1.as_slice(), p2.as_slice());
-
-        let un = UnstructuredSparseConv::from_dense(&w, stride, pad).expect("compress");
-        let u1 = conv2d_unstructured_with(&x, &un, Some(bias), &serial).expect("conv");
-        let u2 = conv2d_unstructured_with(&x, &un, Some(bias), &par).expect("conv");
-        prop_assert_eq!(u1.as_slice(), u2.as_slice());
     }
 
     #[test]

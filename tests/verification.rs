@@ -16,7 +16,7 @@ use rtoss::models::{retinanet_twin, yolov5s_twin, DetectorModel};
 use rtoss::sparse::{PatternCompressedConv, SparseModel, UnstructuredSparseConv};
 use rtoss::tensor::Tensor;
 use rtoss::verify::{
-    check_execution_plan, check_model, check_pattern_layer, check_sparse_model,
+    check_execution_plan, check_level_deals, check_model, check_pattern_layer, check_sparse_model,
     check_unstructured_layer, fixtures,
 };
 
@@ -73,9 +73,10 @@ fn seed_retinanet_configs_verify_clean() {
     }
 }
 
-/// RV050–RV054 and RV070 on live engines: the compiled plan's schedule,
-/// arena and levels are sound, and its output is bit-identical to the
-/// interpreter oracle at widths 1 and 4 and on a forced worker pool.
+/// RV020, RV050–RV054 and RV070 on live engines: the compiled plan's
+/// schedule, arena, levels and level deal are sound, and its output is
+/// bit-identical to the interpreter oracle at widths 1, 2 and 4 and on
+/// a forced worker pool.
 #[test]
 fn planned_forward_matches_the_interpreter_oracle() {
     let probe_shape = [1, 3, 32, 32];
@@ -97,16 +98,31 @@ fn planned_forward_matches_the_interpreter_oracle() {
     let retina = retinanet_twin(4, 2, 0x5EED).expect("twin builds");
     for (label, m) in [("yolov5s 3EP", &yolo), ("retinanet dense", &retina)] {
         let engine = SparseModel::compile(&m.graph).expect("compiles");
-        let report = check_execution_plan(&engine, &probe, &[1, 4]);
+        let report = check_execution_plan(&engine, &probe, &[1, 2, 4]);
         assert!(!report.has_errors(), "{label}:\n{}", report.render());
     }
 }
 
+/// RV020 on the seed twins' plans: the level deal the runner executes
+/// partitions every level at widths 1..=8; RV021 on the serving
+/// histogram.
 #[test]
 fn executor_invariants_hold() {
-    for n_tiles in [0, 1, 2, 9, 31, 100] {
-        let report = rtoss::verify::check_tile_partition(n_tiles, 8);
-        assert!(!report.has_errors(), "{}", report.render());
+    for (label, m) in [
+        ("yolov5s", yolov5s_twin(8, 2, 42).expect("twin builds")),
+        ("retinanet", retinanet_twin(8, 2, 42).expect("twin builds")),
+    ] {
+        let m = pruned(m, EntryPattern::Three);
+        let engine = SparseModel::compile(&m.graph).expect("compiles");
+        let summary = engine.plan_summary(&INPUT).expect("plans");
+        let fans_out = summary
+            .level_schedule(2)
+            .levels
+            .iter()
+            .any(|d| !d.pooled.is_empty());
+        assert!(fans_out, "{label}: no level wide enough to fan out");
+        let diags = check_level_deals(label, &summary, 8);
+        assert!(diags.is_empty(), "{label}: {diags:?}");
     }
     let report = rtoss::verify::check_histogram_buckets();
     assert!(!report.has_errors(), "{}", report.render());
