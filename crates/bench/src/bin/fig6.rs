@@ -3,11 +3,9 @@
 //! fully *measured* CPU series from this machine's sparse executors.
 //!
 //! The device-model series runs each method's measured sparsity through
-//! the calibrated latency models. The CPU series times real dense /
-//! pattern-grouped / unstructured convolutions (`rtoss-sparse`) on a
-//! representative 3×3 layer, demonstrating the paper's §II.B claim that
-//! semi-structured sparsity converts into wall-clock speedup while
-//! unstructured sparsity does not.
+//! the calibrated latency models. The CPU series times one 3×3 layer
+//! dense and through the pattern and COO views of its pack
+//! (`rtoss-sparse`), for pattern-pruned and unstructured weights.
 //!
 //! ```text
 //! fig6 [--verify]
@@ -104,7 +102,7 @@ fn measured_cpu_series() {
         let w = init::uniform(&mut init::rng(9), &[64, 64, 3, 3], -1.0, 1.0);
         let p = MagnitudePruner::new(7.0 / 9.0).expect("valid sparsity");
         let mask = {
-            // Reuse the pruner's criterion through a throwaway graph.
+            // Reuse the pruner's rule through a throwaway graph.
             let mut g = rtoss_nn::Graph::new();
             let xin = g.add_input("x");
             let conv = rtoss_nn::layers::Conv2d::from_weight(w.clone(), 1, 1);
@@ -240,11 +238,13 @@ fn main() {
     eprintln!("measured end-to-end model series...");
     measured_model_series();
     println!(
-        "\nShape check: R-TOSS (2EP) is the fastest on both platforms, as in\n\
-         the paper. The measured CPU series confirms that pattern pruning's\n\
-         skipped weights convert into real wall-clock speedup (approaching\n\
-         the k/9 bound at 2EP), with pattern grouping ahead of the per-weight\n\
-         COO path; the GPU-scale locality penalty of unstructured sparsity\n\
-         is modelled by the device models' realization factors (rtoss-hw)."
+        "\nShape check: R-TOSS (2EP) is the fastest on both modelled platforms,\n\
+         as in the paper. On this CPU the layer speedup grows as taps are\n\
+         removed (2EP > 3EP > 4EP). The pattern-grouped and per-weight COO\n\
+         columns time two views of one packed driver; no winner is claimed\n\
+         (the spine tracks it as sparse.conv3x3_{{pattern,coo}}_3ep_ms). The\n\
+         unstructured NMS row, at 2EP's density, lands beside the 2EP row:\n\
+         its locality penalty exists only in the device models' realization\n\
+         factors (rtoss-hw)."
     );
 }

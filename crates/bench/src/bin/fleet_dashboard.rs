@@ -1,14 +1,13 @@
-//! Renders a `fleet_telemetry.json` snapshot (written by
-//! `fleet_bench --telemetry`) as a plain-text operator dashboard:
-//! per-tenant admission lanes and burn-rate sparklines, per-replica
-//! queue/tier gauges, and the alert transition log.
+//! Renders a fleet `TelemetrySnapshot` JSON (as the root test
+//! `tests/fleet_overload.rs` writes it) as a plain-text operator
+//! dashboard: per-tenant admission lanes and burn-rate sparklines,
+//! per-replica queue/tier gauges, and the alert transition log.
 //!
 //! ```text
-//! fleet_dashboard [--in PATH] [--out PATH]
+//! fleet_dashboard --in PATH [--out PATH]
 //! ```
 //!
-//! Defaults to reading `results/fleet/fleet_telemetry.json` and
-//! printing to stdout; `--out` additionally writes the rendering to a
+//! Prints to stdout; `--out` additionally writes the rendering to a
 //! file (CI uploads it next to the raw JSON).
 
 use rtoss_bench::format_table;
@@ -17,7 +16,7 @@ use std::fmt::Write as _;
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("fleet_dashboard: {msg}");
-    eprintln!("usage: fleet_dashboard [--in PATH] [--out PATH]");
+    eprintln!("usage: fleet_dashboard --in PATH [--out PATH]");
     std::process::exit(2);
 }
 
@@ -178,7 +177,7 @@ fn render(snap: &TelemetrySnapshot) -> String {
 }
 
 fn main() {
-    let mut input = "results/fleet/fleet_telemetry.json".to_string();
+    let mut input: Option<String> = None;
     let mut output: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -187,11 +186,12 @@ fn main() {
                 .unwrap_or_else(|| usage_error(&format!("missing value for {flag}")))
         };
         match flag.as_str() {
-            "--in" => input = value(),
+            "--in" => input = Some(value()),
             "--out" => output = Some(value()),
             other => usage_error(&format!("unknown flag {other}")),
         }
     }
+    let input = input.unwrap_or_else(|| usage_error("--in PATH is required"));
     let text = std::fs::read_to_string(&input)
         .unwrap_or_else(|e| usage_error(&format!("cannot read {input}: {e}")));
     let snap: TelemetrySnapshot = serde_json::from_str(&text)

@@ -3,7 +3,7 @@
 //! (NMS), Network Slimming (NS), Pruning Filters (PF), and Neural
 //! Pruning (NP).
 //!
-//! Each baseline re-implements the *criterion* of its source paper
+//! Each baseline re-implements the *pruning rule* of its source paper
 //! (DESIGN.md §2); all of them implement the [`crate::Pruner`] trait so
 //! the figure harnesses can sweep them uniformly.
 

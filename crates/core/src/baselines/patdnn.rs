@@ -97,7 +97,7 @@ impl Pruner for PatDnn {
                 // PATDNN applies connectivity pruning to kernels but has
                 // no pattern story for 1×1; we cut the same fraction of
                 // 1×1 kernels by magnitude (each 1×1 kernel is a single
-                // weight), mirroring its kernel-level criterion.
+                // weight), mirroring its kernel-level rule.
                 let w = &param.value;
                 let n = w.numel();
                 let n_cut = ((n as f64) * self.connectivity_ratio).floor() as usize;

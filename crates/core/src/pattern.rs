@@ -101,7 +101,7 @@ impl Pattern {
     }
 
     /// Whether the kept cells form a single 4-connected component
-    /// (the paper's "adjacent non-zero weights" criterion).
+    /// (the paper's "adjacent non-zero weights" rule).
     ///
     /// A bit flood-fill from the lowest kept cell: no allocation, at
     /// most nine rounds.
@@ -233,7 +233,7 @@ pub fn generate_all(k: usize) -> Result<Vec<Pattern>, PruneError> {
 }
 
 /// Enumerates the connected ("adjacent") patterns with `k` kept cells —
-/// the paper's first narrowing criterion.
+/// the paper's first narrowing rule.
 ///
 /// # Errors
 ///
@@ -328,7 +328,7 @@ impl PatternSet {
     }
 }
 
-/// L2-frequency selection (§IV.B, criterion 2): draws `samples` random
+/// L2-frequency selection (§IV.B, rule 2): draws `samples` random
 /// 3×3 kernels uniformly from `[-1, 1]`, counts which adjacent pattern
 /// wins the post-mask L2 contest for each, and keeps the `budget`
 /// most-used patterns.
@@ -373,7 +373,7 @@ pub fn select_patterns(
 }
 
 /// [`select_patterns`] without the adjacency filter: candidates are all
-/// `C(9, k)` masks (ablation of §IV.B criterion 1 — disconnected
+/// `C(9, k)` masks (ablation of §IV.B rule 1 — disconnected
 /// patterns score slightly higher L2 but forfeit the semi-structured
 /// regularity the executors rely on).
 ///

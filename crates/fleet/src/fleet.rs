@@ -19,7 +19,8 @@
 //! drive that replica's [`TierController`], and tier changes flip the
 //! replica's [`TieredEngine`] atomically. With `controller: None` the
 //! fleet serves pinned at tier 0 — the no-degradation baseline the
-//! `fleet_bench` overload curves compare against.
+//! degradation controller must beat under overload (root test
+//! `tests/fleet_overload.rs`).
 
 use rtoss_obs as obs;
 use rtoss_serve::{

@@ -30,9 +30,7 @@
 //! - [`telemetry`] — the SLO telemetry plane: per-tenant windowed
 //!   admission series, per-replica queue/tier gauges, multi-window
 //!   burn-rate monitors with firing/resolved alerts, and a black-box
-//!   flight recorder dumping post-mortem JSON on breach (RV080–RV083);
-//! - [`loadgen`] — multi-tenant open-loop driver (Poisson or bursty
-//!   arrivals) producing per-tenant deadline-hit rates.
+//!   flight recorder dumping post-mortem JSON on breach (RV080–RV083).
 //!
 //! # Example
 //!
@@ -75,7 +73,6 @@
 
 pub mod engine;
 pub mod fleet;
-pub mod loadgen;
 pub mod metrics;
 pub mod ring;
 pub mod telemetry;

@@ -111,30 +111,6 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// A configuration scaled for second-long bench runs: 100 ms
-    /// windows, 500 ms / 2 s alert ranges, so a multi-window burn-rate
-    /// story (fire *and* resolve) fits inside one `fleet_bench`
-    /// invocation.
-    pub fn bench() -> Self {
-        TelemetryConfig {
-            window: Duration::from_millis(100),
-            windows: 128,
-            admission: BurnRatePolicy {
-                short_range_ns: 500_000_000,
-                long_range_ns: 2_000_000_000,
-                min_total: 20,
-                ..BurnRatePolicy::new(0.95)
-            },
-            deadline: BurnRatePolicy {
-                short_range_ns: 500_000_000,
-                long_range_ns: 2_000_000_000,
-                min_total: 20,
-                ..BurnRatePolicy::new(0.9)
-            },
-            ..TelemetryConfig::default()
-        }
-    }
-
     /// Structural problems with the configuration, empty when valid.
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
@@ -711,7 +687,8 @@ pub struct ReplicaTelemetrySnapshot {
 }
 
 /// Serializable point-in-time view of a [`FleetTelemetry`], the
-/// document `fleet_bench --telemetry` writes and RV080–RV082 validate.
+/// document `verify --telemetry` and `fleet_dashboard` read and
+/// RV080–RV082 validate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Storage window width, nanoseconds.

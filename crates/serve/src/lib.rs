@@ -21,10 +21,10 @@
 //!   serving phase (queue-wait / batch-assembly / execute) and a
 //!   serde-serializable [`MetricsSnapshot`];
 //! - a modelled **energy hook** charging each request its share of a
-//!   micro-batched pass on an [`rtoss_hw`] device model;
-//! - a seeded **open-loop load generator** (pure Poisson and bursty
-//!   on/off-modulated arrivals) for reproducible overload experiments
-//!   ([`loadgen`]).
+//!   micro-batched pass on an [`rtoss_hw`] device model.
+//!
+//! Load generation lives outside the library: the benchmark spine
+//! (`benchmark/`, workload `serve_open`) drives a server open-loop.
 //!
 //! # Example
 //!
@@ -56,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod loadgen;
 mod metrics;
 mod queue;
 mod request;

@@ -154,8 +154,8 @@ impl LatencyHistogram {
 
     /// Quantile estimate in milliseconds: the upper bound of the bucket
     /// containing the sample at nearest rank `ceil(q·count)` (0 when
-    /// empty). Same rank rule as the load generator's exact percentiles
-    /// (`LoadSummary`), but resolved to a bucket upper bound — so the
+    /// empty). Same rank rule as an exact percentile over the raw
+    /// samples, but resolved to a bucket upper bound — so the
     /// estimate is ≥ the exact nearest-rank sample and exceeds it by at
     /// most one bucket's resolution (bucket bounds grow by √2 per
     /// step). `histogram_quantile_agrees_with_nearest_rank` below pins
@@ -567,8 +567,8 @@ mod tests {
 
     #[test]
     fn histogram_quantile_agrees_with_nearest_rank() {
-        // Cross-check of the two percentile estimators on a shared
-        // sample set: the load generator takes the exact nearest-rank
+        // Cross-check of the histogram against the exact percentile on
+        // a shared sample set: the exact answer is the nearest-rank
         // sample (rank ceil(q·n) over the sorted raw values); the
         // histogram resolves the same rank to its bucket's upper
         // bound. The two must agree within one bucket's resolution —
@@ -587,7 +587,7 @@ mod tests {
         let mut sorted = samples_ns.clone();
         sorted.sort_by(|a, b| a.total_cmp(b));
         for q in [0.50, 0.90, 0.95, 0.99, 1.0] {
-            // Nearest rank, exactly as serve/fleet loadgen computes it.
+            // Nearest rank: the sample at rank ceil(q·n), 1-based.
             let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
             let exact_ns = sorted[idx];
             let hist_ns = h.quantile_ms(q) * 1e6;

@@ -1,8 +1,10 @@
 //! RV080–RV083: fleet SLO telemetry invariants.
 //!
-//! `fleet_bench --telemetry` writes a [`TelemetrySnapshot`] JSON
-//! document and one flight-dump JSON per breach; the passes here prove
-//! the telemetry plane's promises hold on those artifacts:
+//! A telemetry-enabled fleet yields a [`TelemetrySnapshot`] JSON
+//! document and one flight-dump JSON per breach (the root test
+//! `tests/fleet_overload.rs` writes both from a live overloaded
+//! fleet); the passes here prove the telemetry plane's promises hold
+//! on those artifacts:
 //!
 //! - **RV080** — window geometry: per-series windows strictly
 //!   ascending, aligned to the storage window width, and no more of

@@ -1,15 +1,29 @@
 //! Integration tests for the serving subsystem: batched-vs-direct
 //! equivalence on a real pruned engine, load shedding under synthetic
-//! overload, and panic isolation.
+//! overload, panic isolation, and a traced live server whose exports
+//! pass the RV040–RV044 checks.
 
 use rtoss::core::{EntryPattern, Pruner, RTossPruner};
+use rtoss::obs;
 use rtoss::serve::{
     BackpressurePolicy, ExecConfig, RequestError, ServeConfig, ServeModel, Server, Ticket,
 };
 use rtoss::sparse::SparseModel;
 use rtoss::tensor::{init, Tensor};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
+
+/// Tracing is process-wide: the traced test holds this gate
+/// exclusively so no other test's server writes into its trace.
+static TRACE_GATE: RwLock<()> = RwLock::new(());
+
+fn untraced() -> RwLockReadGuard<'static, ()> {
+    TRACE_GATE.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn traced() -> RwLockWriteGuard<'static, ()> {
+    TRACE_GATE.write().unwrap_or_else(|e| e.into_inner())
+}
 
 fn pruned_engine(entry: EntryPattern, seed: u64) -> SparseModel {
     let mut model = rtoss::models::yolov5s_twin(4, 2, seed).expect("model builds");
@@ -28,6 +42,7 @@ fn probe(seed: u64) -> Tensor {
 /// really do ride in shared batches.
 #[test]
 fn served_outputs_are_bit_identical_to_direct_execution() {
+    let _gate = untraced();
     let reference = pruned_engine(EntryPattern::Two, 5);
     let server = Server::start(
         Arc::new(pruned_engine(EntryPattern::Two, 5)),
@@ -94,6 +109,7 @@ impl ServeModel for SlowEcho {
 /// unbounded queueing delay a policy-free queue would produce.
 #[test]
 fn overload_sheds_expired_requests_and_bounds_completed_p99() {
+    let _gate = untraced();
     let service_time = Duration::from_millis(10);
     let deadline = Duration::from_millis(60);
     let server = Server::start(
@@ -158,6 +174,7 @@ fn overload_sheds_expired_requests_and_bounds_completed_p99() {
 /// `batch_assembly`.
 #[test]
 fn execute_timing_excludes_batch_assembly() {
+    let _gate = untraced();
     let delay = Duration::from_millis(25);
     let server = Server::start(
         Arc::new(SlowEcho {
@@ -195,6 +212,7 @@ fn execute_timing_excludes_batch_assembly() {
 /// ticket has resolved.
 #[test]
 fn concurrent_stress_counters_partition_all_submissions() {
+    let _gate = untraced();
     for policy in [
         BackpressurePolicy::Block,
         BackpressurePolicy::RejectWhenFull,
@@ -259,6 +277,7 @@ fn concurrent_stress_counters_partition_all_submissions() {
 /// counted, and the server keeps serving afterwards.
 #[test]
 fn panicking_model_leaves_server_healthy() {
+    let _gate = untraced();
     let server = Server::start(
         Arc::new(SlowEcho {
             delay: Duration::ZERO,
@@ -302,6 +321,7 @@ fn panicking_model_leaves_server_healthy() {
 /// outputs still match direct execution exactly.
 #[test]
 fn prewarm_compiles_plans_and_exports_arena_gauge() {
+    let _gate = untraced();
     let engine = Arc::new(pruned_engine(EntryPattern::Three, 6));
     let server = Server::start(
         engine.clone(),
@@ -336,4 +356,49 @@ fn prewarm_compiles_plans_and_exports_arena_gauge() {
     );
     assert!(snap.to_prometheus().contains("rtoss_peak_activation_bytes"));
     server.shutdown();
+}
+
+/// A traced server over a pruned twin exports a Chrome trace that
+/// passes RV040–RV042 (spans nest per thread, close in order, and every
+/// `execute` holds a `layer:*` span) and a Prometheus exposition that
+/// passes RV043–RV044 (well-formed, and its phase histograms rebuild
+/// the metrics snapshot bucket for bucket).
+#[test]
+fn traced_server_exports_pass_rv040_to_rv044() {
+    let _gate = traced();
+    obs::set_enabled(true);
+    obs::set_sample_every(1);
+    obs::reset();
+    let server = Server::start(
+        Arc::new(pruned_engine(EntryPattern::Three, 7)),
+        ServeConfig {
+            workers: 2,
+            max_batch: 4,
+            batch_timeout: Duration::from_millis(2),
+            prewarm: Some(vec![1, 3, 32, 32]),
+            ..ServeConfig::default()
+        },
+    );
+    let tickets: Vec<Ticket> = (0..12)
+        .map(|i| server.submit(probe(300 + i), None).expect("submit"))
+        .collect();
+    for t in tickets {
+        t.wait().expect("served");
+    }
+    let metrics = server.metrics();
+    server.shutdown();
+    obs::set_enabled(false);
+    let trace = obs::drain();
+    let snap = metrics.snapshot();
+
+    assert_eq!(trace.dropped, 0, "per-thread trace buffers overflowed");
+    assert!(
+        trace.events.iter().any(|e| e.name == "execute"),
+        "the trace recorded no execute span"
+    );
+    assert_eq!(snap.completed, 12);
+    let check = rtoss::verify::check_trace_json("serve trace", &trace.to_chrome_json());
+    assert!(!check.has_errors(), "{}", check.render());
+    let check = rtoss::verify::check_prometheus_snapshot("serve", &snap.to_prometheus(), &snap);
+    assert!(!check.has_errors(), "{}", check.render());
 }
