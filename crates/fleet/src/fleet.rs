@@ -35,8 +35,7 @@ use std::time::{Duration, Instant};
 
 use crate::engine::TieredEngine;
 use crate::metrics::{
-    FleetMetrics, FleetSnapshot, ReplicaSnapshot, TenantCounters, TenantSnapshot,
-    TierServedSnapshot,
+    FleetMetrics, FleetSnapshot, ReplicaSnapshot, TenantSnapshot, TierServedSnapshot,
 };
 use crate::ring::HashRing;
 use crate::telemetry::{AdmissionOutcome, FleetTelemetry, ReplicaObservation, TelemetryConfig};
@@ -92,7 +91,9 @@ pub struct FleetConfig {
     pub control_interval: Duration,
     /// Registered tenants.
     pub tenants: Vec<TenantSpec>,
-    /// SLO telemetry (windowed series, burn-rate alerts, flight
+    /// SLO telemetry (windowed admission series, replica gauges,
+    /// burn-rate alerts over admission and over the replicas'
+    /// cumulative deadline counts read each control tick, flight
     /// recorder); `None` disables the telemetry plane entirely. Even
     /// when configured, recording is inert until
     /// `rtoss_obs::set_series_enabled` (or `RTOSS_SERIES=1`).
@@ -199,18 +200,9 @@ impl Fleet {
                 capacity: serve.queue_capacity.max(1),
             });
         }
-        let (mut metrics, _) =
-            FleetMetrics::new(config.tenants.iter().map(|t| (t.id.clone(), t.class)));
+        let metrics = FleetMetrics::new(config.tenants.iter().map(|t| t.id.clone()));
         if metrics.tenants.len() != config.tenants.len() {
             return Err("duplicate tenant ids".into());
-        }
-        // Ensure every tenant has a ledger even if FleetMetrics::new
-        // deduplicated differently-cased ids in the future.
-        for t in &config.tenants {
-            metrics
-                .tenants
-                .entry(t.id.clone())
-                .or_insert_with(TenantCounters::default);
         }
         let metrics = Arc::new(metrics);
         let now = Instant::now();
@@ -442,52 +434,11 @@ impl Fleet {
     /// Point-in-time fleet snapshot (tenant ledgers, per-replica server
     /// metrics, served-tier mix, routing/controller tallies).
     pub fn snapshot(&self) -> FleetSnapshot {
-        let tenants = self
-            .tenants
-            .iter()
-            .map(|(id, state)| {
-                let c = &self.metrics.tenants[id];
-                TenantSnapshot {
-                    id: id.clone(),
-                    class: state.spec.class.label().to_string(),
-                    offered: c.offered.get(),
-                    admitted: c.admitted.get(),
-                    throttled: c.throttled.get(),
-                    shed: c.shed.get(),
-                }
-            })
-            .collect();
-        let replicas = self
-            .replicas
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ReplicaSnapshot {
-                replica: i,
-                current_tier: r.engine.current_tier(),
-                queue_depth: r.depth.len(),
-                tiers: r
-                    .engine
-                    .served()
-                    .into_iter()
-                    .map(|(tier, map_estimate, batches, frames)| TierServedSnapshot {
-                        tier,
-                        map_estimate,
-                        batches,
-                        frames,
-                    })
-                    .collect(),
-                server: r.server.metrics().snapshot(),
-            })
-            .collect();
-        FleetSnapshot {
-            tenants,
-            replicas,
-            routed_affinity: self.metrics.routed_affinity.get(),
-            routed_spill: self.metrics.routed_spill.get(),
-            tier_upgrades: self.metrics.tier_upgrades.get(),
-            tier_downgrades: self.metrics.tier_downgrades.get(),
-            hot_swaps: self.metrics.hot_swaps.get(),
-        }
+        self.build_snapshot(
+            self.replicas
+                .iter()
+                .map(|r| (r.engine.clone(), r.server.metrics(), r.depth.len())),
+        )
     }
 
     /// Stops the controller, drains and joins every replica, and
@@ -497,14 +448,23 @@ impl Fleet {
         self.stop_controller();
         // Keep the engine/metrics handles alive past the servers so the
         // final snapshot sees fully-settled counters.
-        let kept: Vec<(Arc<TieredEngine>, Arc<ServerMetrics>)> = self
+        let kept: Vec<(Arc<TieredEngine>, Arc<ServerMetrics>, usize)> = self
             .replicas
             .iter()
-            .map(|r| (r.engine.clone(), r.server.metrics()))
+            .map(|r| (r.engine.clone(), r.server.metrics(), 0))
             .collect();
         for r in self.replicas.drain(..) {
             r.server.shutdown();
         }
+        self.build_snapshot(kept)
+    }
+
+    /// The fleet snapshot over `replicas`' `(engine, server metrics,
+    /// queue depth)`, in replica order.
+    fn build_snapshot(
+        &self,
+        replicas: impl IntoIterator<Item = (Arc<TieredEngine>, Arc<ServerMetrics>, usize)>,
+    ) -> FleetSnapshot {
         let tenants = self
             .tenants
             .iter()
@@ -520,13 +480,13 @@ impl Fleet {
                 }
             })
             .collect();
-        let replicas = kept
+        let replicas = replicas
             .into_iter()
             .enumerate()
-            .map(|(i, (engine, metrics))| ReplicaSnapshot {
+            .map(|(i, (engine, metrics, queue_depth))| ReplicaSnapshot {
                 replica: i,
                 current_tier: engine.current_tier(),
-                queue_depth: 0,
+                queue_depth,
                 tiers: engine
                     .served()
                     .into_iter()
@@ -616,22 +576,30 @@ fn spawn_control_loop(
         });
         // Per-replica (completed, deadline_missed) at the previous tick.
         let mut last: Vec<(u64, u64)> = probes.iter().map(|_| (0, 0)).collect();
+        let mut seen: Vec<ReplicaObservation> = Vec::with_capacity(probes.len());
         while !stop.load(Ordering::Acquire) {
             std::thread::sleep(interval);
             let now = Instant::now();
             let ts = obs::ts_ns(now);
+            // One reading of every replica per tick, shared by the tier
+            // controller and the telemetry plane.
+            seen.clear();
+            seen.extend(probes.iter().map(|p| ReplicaObservation {
+                queue_frac: p.depth.len() as f64 / p.capacity as f64,
+                tier: p.engine.current_tier(),
+                completed: p.metrics.completed.get(),
+                deadline_missed: p.metrics.deadline_missed.get(),
+                worker_panics: p.metrics.worker_panics.get(),
+            }));
             if let Some(controllers) = controllers.as_mut() {
-                for (i, probe) in probes.iter().enumerate() {
-                    let completed = probe.metrics.completed.get();
-                    let missed = probe.metrics.deadline_missed.get();
+                for (i, (probe, reading)) in probes.iter().zip(seen.iter_mut()).enumerate() {
                     let (c0, m0) = last[i];
-                    let dc = completed.saturating_sub(c0);
-                    let dm = missed.saturating_sub(m0);
-                    last[i] = (completed, missed);
+                    let dc = reading.completed.saturating_sub(c0);
+                    let dm = reading.deadline_missed.saturating_sub(m0);
+                    last[i] = (reading.completed, reading.deadline_missed);
                     let miss_sample = if dc == 0 { 0.0 } else { dm as f64 / dc as f64 };
-                    let queue_frac = probe.depth.len() as f64 / probe.capacity as f64;
                     let before = controllers[i].level();
-                    let after = controllers[i].observe(queue_frac, miss_sample, now);
+                    let after = controllers[i].observe(reading.queue_frac, miss_sample, now);
                     if after != before {
                         if after > before {
                             fleet_metrics.tier_downgrades.incr();
@@ -639,6 +607,7 @@ fn spawn_control_loop(
                             fleet_metrics.tier_upgrades.incr();
                         }
                         probe.engine.set_tier(after);
+                        reading.tier = after;
                         if let Some(tel) = &telemetry {
                             tel.record_tier_change(ts, i, before, after);
                         }
@@ -656,15 +625,7 @@ fn spawn_control_loop(
                 }
             }
             if let Some(tel) = &telemetry {
-                let observations: Vec<ReplicaObservation> = probes
-                    .iter()
-                    .map(|p| ReplicaObservation {
-                        queue_frac: p.depth.len() as f64 / p.capacity as f64,
-                        tier: p.engine.current_tier(),
-                        metrics: &p.metrics,
-                    })
-                    .collect();
-                tel.tick(ts, &observations);
+                tel.tick(ts, &seen);
             }
         }
     })

@@ -2,11 +2,10 @@
 //! per-tier serving state, and a serializable snapshot with Prometheus
 //! exposition (labelled series — tenant, class, replica, tier).
 
-use rtoss_serve::{MetricsSnapshot, StripedCounter};
+use rtoss_obs::metrics::StripedCounter;
+use rtoss_serve::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-use crate::tenant::SloClass;
 
 /// Admission ledger for one tenant. Every offered request lands in
 /// exactly one of `admitted`, `throttled`, or `shed` — the conservation
@@ -140,46 +139,35 @@ impl FleetSnapshot {
 
     /// Renders the fleet snapshot in Prometheus text exposition format
     /// with labelled series: tenant ledgers (`tenant`, `class`), routing
-    /// and controller counters, and per-replica per-tier served frames
-    /// (`replica`, `tier`).
+    /// and controller counters, each replica's tier, and per-replica
+    /// per-tier served frames (`replica`, `tier`). This is the only
+    /// writer of the ledger and tier families; telemetry adds its burn,
+    /// firing and queue-fraction gauges beside them.
     pub fn to_prometheus(&self) -> String {
-        use rtoss_obs::prom::{render, PromMetric, PromValue};
+        use rtoss_obs::prom::{render, PromMetric};
         let mut metrics = Vec::new();
-        let tenant_counter = |name: &str, help: &str, pick: &dyn Fn(&TenantSnapshot) -> u64| {
-            let mut m = Vec::new();
-            for t in &self.tenants {
-                m.push(PromMetric {
-                    name: format!("rtoss_fleet_{name}_total"),
-                    help: help.to_string(),
-                    labels: vec![
-                        ("tenant".into(), t.id.clone()),
-                        ("class".into(), t.class.clone()),
-                    ],
-                    value: PromValue::Counter(pick(t) as f64),
-                });
+        for t in &self.tenants {
+            for (name, help, v) in [
+                ("offered", "Requests offered by the tenant", t.offered),
+                (
+                    "admitted",
+                    "Requests admitted into a replica queue",
+                    t.admitted,
+                ),
+                (
+                    "throttled",
+                    "Requests refused by the tenant quota",
+                    t.throttled,
+                ),
+                ("shed", "Requests shed by pressure admission", t.shed),
+            ] {
+                metrics.push(
+                    PromMetric::counter(format!("rtoss_fleet_{name}_total"), help, v as f64)
+                        .with_label("tenant", t.id.clone())
+                        .with_label("class", t.class.clone()),
+                );
             }
-            m
-        };
-        metrics.extend(tenant_counter(
-            "offered",
-            "Requests offered by the tenant",
-            &|t| t.offered,
-        ));
-        metrics.extend(tenant_counter(
-            "admitted",
-            "Requests admitted into a replica queue",
-            &|t| t.admitted,
-        ));
-        metrics.extend(tenant_counter(
-            "throttled",
-            "Requests refused by the tenant quota",
-            &|t| t.throttled,
-        ));
-        metrics.extend(tenant_counter(
-            "shed",
-            "Requests shed by pressure admission",
-            &|t| t.shed,
-        ));
+        }
         for (name, help, v) in [
             (
                 "routed_affinity",
@@ -209,27 +197,26 @@ impl FleetSnapshot {
                 v as f64,
             ));
         }
-        // Keep every sample of a metric contiguous (exposition-format
-        // requirement): all tier gauges first, then all served-frames.
         for r in &self.replicas {
-            metrics.push(PromMetric {
-                name: "rtoss_fleet_replica_tier".into(),
-                help: "Tier index the replica is serving (0 = densest)".into(),
-                labels: vec![("replica".into(), r.replica.to_string())],
-                value: PromValue::Gauge(r.current_tier as f64),
-            });
-        }
-        for r in &self.replicas {
+            let replica = r.replica.to_string();
+            metrics.push(
+                PromMetric::gauge(
+                    "rtoss_fleet_replica_tier",
+                    "Tier index the replica is serving (0 = densest)",
+                    r.current_tier as f64,
+                )
+                .with_label("replica", replica.clone()),
+            );
             for t in &r.tiers {
-                metrics.push(PromMetric {
-                    name: "rtoss_fleet_served_frames_total".into(),
-                    help: "Frames served per replica and accuracy tier".into(),
-                    labels: vec![
-                        ("replica".into(), r.replica.to_string()),
-                        ("tier".into(), t.tier.clone()),
-                    ],
-                    value: PromValue::Counter(t.frames as f64),
-                });
+                metrics.push(
+                    PromMetric::counter(
+                        "rtoss_fleet_served_frames_total",
+                        "Frames served per replica and accuracy tier",
+                        t.frames as f64,
+                    )
+                    .with_label("replica", replica.clone())
+                    .with_label("tier", t.tier.clone()),
+                );
             }
         }
         if let Some(map) = self.served_map_mean() {
@@ -244,15 +231,15 @@ impl FleetSnapshot {
 }
 
 impl FleetMetrics {
-    /// Creates ledgers for the given `(id, class)` tenants.
-    pub fn new(tenants: impl IntoIterator<Item = (String, SloClass)>) -> (Self, Vec<SloClass>) {
-        let mut m = FleetMetrics::default();
-        let mut classes = Vec::new();
-        for (id, class) in tenants {
-            m.tenants.insert(id, TenantCounters::default());
-            classes.push(class);
+    /// Creates one ledger per distinct tenant id.
+    pub fn new(tenant_ids: impl IntoIterator<Item = String>) -> Self {
+        FleetMetrics {
+            tenants: tenant_ids
+                .into_iter()
+                .map(|id| (id, TenantCounters::default()))
+                .collect(),
+            ..FleetMetrics::default()
         }
-        (m, classes)
     }
 }
 

@@ -1,5 +1,6 @@
-//! Fleet-wide SLO telemetry: windowed admission/deadline series,
-//! multi-window burn-rate monitors, and the black-box flight recorder.
+//! Fleet-wide SLO telemetry: windowed admission series, per-replica
+//! gauges and deadline readings, multi-window burn-rate monitors, and
+//! the black-box flight recorder.
 //!
 //! The cumulative ledgers in [`crate::metrics`] answer "how did the
 //! run go"; this module answers "how are the last few seconds going"
@@ -9,29 +10,35 @@
 //! window ring, so `offered == admitted + throttled + shed` holds
 //! **per window**, not just in aggregate (RV081). Per replica it keeps
 //! queue-depth-fraction and served-tier gauges plus a deadline-miss
-//! monitor fed from the replica's [`rtoss_serve::ServerSeries`].
+//! monitor fed by the server's cumulative `completed` /
+//! `deadline_missed` counts, read once per control tick for it and the
+//! tier controller: one reading per storage window is kept (at most
+//! [`TelemetryConfig::windows`]), and a trailing range is the latest
+//! reading minus the newest kept one at or before `now − range`.
 //!
 //! Each control tick evaluates every [`SloMonitor`] over the policy's
-//! short/long trailing ranges (query-time sums over the aligned
-//! storage windows). Transitions are appended to an alert log whose
-//! legality `rtoss-verify` replays (RV082), and a `firing` transition
-//! — or a worker-panic delta — triggers a [`FlightRecorder`] dump
-//! (RV083).
+//! short/long trailing ranges. Transitions are appended to an alert
+//! log whose legality `rtoss-verify` replays (RV082), and a `firing`
+//! transition — or a worker-panic delta — triggers a
+//! [`FlightRecorder`] dump (RV083).
 //!
 //! Everything here is inert until [`rtoss_obs::set_series_enabled`]
-//! (or `RTOSS_SERIES=1`): the recorders gate themselves on one relaxed
-//! atomic load, and the control thread skips monitor evaluation
+//! (or `RTOSS_SERIES=1`): the admission recorder gates itself on one
+//! relaxed atomic load, and the control thread skips the tick
 //! entirely, so a telemetry-configured fleet with series disabled pays
 //! nothing on the request path.
+//!
+//! [`TelemetrySnapshot::to_prometheus`] writes only the burn-rate,
+//! firing and queue-fraction gauges; ledger counters and replica tiers
+//! are [`crate::FleetSnapshot::to_prometheus`]'s alone.
 
 use rtoss_obs as obs;
 use rtoss_obs::prom::{render, PromMetric};
 use rtoss_obs::slo::{AlertEvent, AlertKind, AlertState, BurnRatePolicy, SloMonitor};
 use rtoss_obs::timeseries::{GaugeSample, WindowSpec, WindowedGauge, WindowedSet};
 use rtoss_obs::FlightRecorder;
-use rtoss_serve::ServerMetrics;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -171,20 +178,35 @@ struct TenantTelemetry {
 struct ReplicaTelemetry {
     queue_frac: WindowedGauge,
     tier: WindowedGauge,
+    /// Cumulative deadline counts, one reading per storage window.
+    readings: Mutex<VecDeque<DeadlineReading>>,
     monitor: Mutex<SloMonitor>,
     burns: Mutex<Vec<BurnPoint>>,
     last_panics: Mutex<u64>,
 }
 
+/// A replica's cumulative deadline counts at one control tick.
+#[derive(Debug, Clone, Copy)]
+struct DeadlineReading {
+    ts_ns: u64,
+    completed: u64,
+    missed: u64,
+}
+
 /// One replica's state as seen by a control tick.
-#[derive(Debug)]
-pub struct ReplicaObservation<'a> {
+#[derive(Debug, Clone, Copy)]
+pub struct ReplicaObservation {
     /// Queue depth as a fraction of capacity.
     pub queue_frac: f64,
     /// Currently served tier index.
     pub tier: usize,
-    /// The replica server's metrics (windowed series + panic counter).
-    pub metrics: &'a ServerMetrics,
+    /// Requests the replica server completed so far (cumulative).
+    pub completed: u64,
+    /// Completed requests that missed their deadline so far
+    /// (cumulative).
+    pub deadline_missed: u64,
+    /// Worker panics the replica server caught so far (cumulative).
+    pub worker_panics: u64,
 }
 
 /// A rendered flight-recorder dump.
@@ -264,6 +286,7 @@ impl FleetTelemetry {
             .map(|i| ReplicaTelemetry {
                 queue_frac: WindowedGauge::new(spec),
                 tier: WindowedGauge::new(spec),
+                readings: Mutex::new(VecDeque::with_capacity(spec.windows)),
                 monitor: Mutex::new(SloMonitor::new(
                     "deadline",
                     format!("replica/{i}"),
@@ -333,8 +356,19 @@ impl FleetTelemetry {
             self.flight
                 .sample(format!("replica/{i}/queue_frac"), ts_ns, seen.queue_frac);
             let p = &self.config.deadline;
-            let short = seen.metrics.series.deadline_range(ts_ns, p.short_range_ns);
-            let long = seen.metrics.series.deadline_range(ts_ns, p.long_range_ns);
+            let (short, long) = {
+                let mut readings = state.readings.lock().unwrap_or_else(|e| e.into_inner());
+                let reading = DeadlineReading {
+                    ts_ns,
+                    completed: seen.completed,
+                    missed: seen.deadline_missed,
+                };
+                keep_reading(&mut readings, self.config.spec(), reading);
+                (
+                    deadline_range(&readings, ts_ns, p.short_range_ns),
+                    deadline_range(&readings, ts_ns, p.long_range_ns),
+                )
+            };
             let (event, burns) = {
                 let mut monitor = state.monitor.lock().unwrap_or_else(|e| e.into_inner());
                 let event = monitor.evaluate(ts_ns, short, long);
@@ -344,7 +378,7 @@ impl FleetTelemetry {
             if let Some(event) = event {
                 self.log_alert(event);
             }
-            let panics = seen.metrics.worker_panics.get();
+            let panics = seen.worker_panics;
             let mut last = state.last_panics.lock().unwrap_or_else(|e| e.into_inner());
             if panics > *last {
                 *last = panics;
@@ -509,6 +543,46 @@ fn admission_range(set: &WindowedSet, now_ns: u64, range_ns: u64) -> (u64, u64) 
     let shed = set.range_lane(now_ns, range_ns, LANE_SHED);
     let offered = set.range_lane(now_ns, range_ns, LANE_OFFERED);
     (throttled + shed, offered)
+}
+
+/// Keeps `reading` as its storage window's one reading (a later tick in
+/// the same window replaces it), dropping the oldest reading once the
+/// ring holds `spec.windows`.
+fn keep_reading(
+    readings: &mut VecDeque<DeadlineReading>,
+    spec: WindowSpec,
+    reading: DeadlineReading,
+) {
+    match readings.back_mut() {
+        Some(last) if spec.window_index(last.ts_ns) == spec.window_index(reading.ts_ns) => {
+            *last = reading;
+        }
+        _ => {
+            if readings.len() == spec.windows {
+                readings.pop_front();
+            }
+            readings.push_back(reading);
+        }
+    }
+}
+
+/// `(missed, completed)` over the trailing `range_ns` before `now_ns`:
+/// the latest reading minus the newest kept reading at or before
+/// `now − range`, or minus the oldest kept reading if none is that old.
+fn deadline_range(readings: &VecDeque<DeadlineReading>, now_ns: u64, range_ns: u64) -> (u64, u64) {
+    let (Some(first), Some(latest)) = (readings.front(), readings.back()) else {
+        return (0, 0);
+    };
+    let cutoff = now_ns.saturating_sub(range_ns);
+    let base = readings
+        .iter()
+        .rev()
+        .find(|r| r.ts_ns <= cutoff)
+        .unwrap_or(first);
+    (
+        latest.missed.saturating_sub(base.missed),
+        latest.completed.saturating_sub(base.completed),
+    )
 }
 
 fn push_burn(burns: &Mutex<Vec<BurnPoint>>, ts_ns: u64, (short, long): (f64, f64)) {
@@ -712,35 +786,25 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Renders the snapshot as Prometheus text exposition with
-    /// `tenant=` / `replica=` labels: admission lane counters,
-    /// burn-rate and firing gauges per tenant, and queue-fraction /
-    /// tier gauges per replica. Tenant ids are escaped as label
-    /// values, so hostile names cannot corrupt the exposition.
+    /// Renders the gauges only telemetry knows as Prometheus text
+    /// exposition: per tenant the admission burn rate over both policy
+    /// ranges and the firing flag, per replica the latest queue
+    /// fraction and the deadline firing flag. Tenant ids are escaped as
+    /// label values, so hostile names cannot corrupt the exposition.
+    /// The ledger counters and replica tiers are
+    /// [`crate::FleetSnapshot::to_prometheus`]'s to write.
     pub fn to_prometheus(&self) -> String {
+        let firing = |rule: &str, subject: String, on: bool| {
+            PromMetric::gauge(
+                "rtoss_fleet_alert_firing",
+                "1 while the SLO monitor is firing",
+                if on { 1.0 } else { 0.0 },
+            )
+            .with_label("rule", rule)
+            .with_label("subject", subject)
+        };
         let mut metrics = Vec::new();
         for t in &self.tenants {
-            let lanes: [(&str, &str, u64); 4] = [
-                (
-                    "offered",
-                    "Requests offered by the tenant",
-                    t.totals.offered,
-                ),
-                ("admitted", "Requests admitted", t.totals.admitted),
-                (
-                    "throttled",
-                    "Requests throttled by quota",
-                    t.totals.throttled,
-                ),
-                ("shed", "Requests shed under pressure", t.totals.shed),
-            ];
-            for (lane, help, v) in lanes {
-                metrics.push(
-                    PromMetric::counter(format!("rtoss_fleet_{lane}_total"), help, v as f64)
-                        .with_label("tenant", t.id.clone())
-                        .with_label("class", t.class.clone()),
-                );
-            }
             let (short, long) = t.burns.last().map_or((0.0, 0.0), |b| (b.short, b.long));
             for (range, v) in [("short", short), ("long", long)] {
                 metrics.push(
@@ -753,18 +817,9 @@ impl TelemetrySnapshot {
                     .with_label("range", range),
                 );
             }
-            metrics.push(
-                PromMetric::gauge(
-                    "rtoss_fleet_alert_firing",
-                    "1 while the SLO monitor is firing",
-                    t.firing as u64 as f64,
-                )
-                .with_label("rule", "admission")
-                .with_label("subject", t.id.clone()),
-            );
+            metrics.push(firing("admission", t.id.clone(), t.firing));
         }
         for r in &self.replicas {
-            let replica = r.replica.to_string();
             if let Some(w) = r.queue_frac.last() {
                 metrics.push(
                     PromMetric::gauge(
@@ -772,28 +827,14 @@ impl TelemetrySnapshot {
                         "Queue depth as a fraction of capacity",
                         w.last,
                     )
-                    .with_label("replica", replica.clone()),
+                    .with_label("replica", r.replica.to_string()),
                 );
             }
-            if let Some(w) = r.tier.last() {
-                metrics.push(
-                    PromMetric::gauge(
-                        "rtoss_fleet_tier",
-                        "Currently served accuracy tier (0 = densest)",
-                        w.last,
-                    )
-                    .with_label("replica", replica.clone()),
-                );
-            }
-            metrics.push(
-                PromMetric::gauge(
-                    "rtoss_fleet_alert_firing",
-                    "1 while the SLO monitor is firing",
-                    r.firing as u64 as f64,
-                )
-                .with_label("rule", "deadline")
-                .with_label("subject", format!("replica/{}", r.replica)),
-            );
+            metrics.push(firing(
+                "deadline",
+                format!("replica/{}", r.replica),
+                r.firing,
+            ));
         }
         render(&metrics)
     }
@@ -845,12 +886,22 @@ mod tests {
         assert!(err.contains("ring span"), "{err}");
     }
 
+    /// A replica observation with no completions yet.
+    fn idle(queue_frac: f64, tier: usize) -> ReplicaObservation {
+        ReplicaObservation {
+            queue_frac,
+            tier,
+            completed: 0,
+            deadline_missed: 0,
+            worker_panics: 0,
+        }
+    }
+
     #[test]
     fn overload_fires_and_recovery_resolves_with_dump() {
         let _guard = series_lock();
         obs::set_series_enabled(true);
         let tel = FleetTelemetry::new(config(), &tenants(), 1).unwrap();
-        let server = ServerMetrics::new();
         let base = obs::now_ns();
         let win = 10_000_000u64;
         // 20 ticks of heavy shedding for bulk: every window 5 offered,
@@ -867,14 +918,7 @@ mod tests {
                 tel.record_admission("gold", ts, AdmissionOutcome::Admitted);
             }
             ts += win;
-            tel.tick(
-                ts,
-                &[ReplicaObservation {
-                    queue_frac: 0.9,
-                    tier: 2,
-                    metrics: &server,
-                }],
-            );
+            tel.tick(ts, &[idle(0.9, 2)]);
         }
         let firing: Vec<_> = tel
             .alerts()
@@ -887,14 +931,7 @@ mod tests {
         assert_eq!(tel.dumps()[0].reason, "slo-breach");
         // Quiet period long past the short range: burn decays, resolves.
         ts += 30 * win;
-        tel.tick(
-            ts,
-            &[ReplicaObservation {
-                queue_frac: 0.1,
-                tier: 0,
-                metrics: &server,
-            }],
-        );
+        tel.tick(ts, &[idle(0.1, 0)]);
         let alerts = tel.alerts();
         let last = alerts.last().unwrap();
         assert_eq!(last.kind, AlertKind::Resolved);
@@ -914,11 +951,87 @@ mod tests {
         let dump = &tel.dumps()[0];
         assert!(dump.json.contains("\"reason\":\"slo-breach\""));
         assert!(dump.json.contains("\"kind\":\"alert\""));
-        // Prometheus rendering carries tenant labels and parses back.
+        // Prometheus rendering carries tenant labels and parses back;
+        // the ledger counters are not telemetry's to write.
         let prom = snap.to_prometheus();
-        assert!(prom.contains("rtoss_fleet_shed_total{tenant=\"bulk\""));
+        assert!(prom.contains("rtoss_fleet_admission_burn{tenant=\"bulk\""));
+        assert!(!prom.contains("rtoss_fleet_shed_total"));
         assert!(rtoss_obs::prom::parse(&prom).is_ok());
         obs::set_series_enabled(false);
+    }
+
+    #[test]
+    fn tick_fed_deadline_counts_fire_and_resolve() {
+        let _guard = series_lock();
+        obs::set_series_enabled(true);
+        let tel = FleetTelemetry::new(config(), &tenants(), 1).unwrap();
+        let win = 10_000_000u64;
+        let mut ts = obs::now_ns();
+        let mut seen = idle(0.5, 0);
+        let deadline_alerts = |state: AlertKind| {
+            tel.alerts()
+                .into_iter()
+                .filter(|a| a.rule == "deadline" && a.subject == "replica/0" && a.kind == state)
+                .count()
+        };
+        // Half of every window's completions miss their deadline: a 0.5
+        // miss rate burns the 0.1 budget at 5x, past the 2x fire burn.
+        for _ in 0..30 {
+            ts += win;
+            seen.completed += 10;
+            seen.deadline_missed += 5;
+            tel.tick(ts, &[seen]);
+        }
+        assert_eq!(deadline_alerts(AlertKind::Firing), 1);
+        assert!(tel.snapshot().replicas[0].firing);
+        assert_eq!(tel.dumps()[0].reason, "slo-breach");
+        // Misses stop while completions continue: once the short range
+        // holds no miss, the short burn is 0 and the alert resolves.
+        for _ in 0..10 {
+            ts += win;
+            seen.completed += 10;
+            tel.tick(ts, &[seen]);
+        }
+        assert_eq!(deadline_alerts(AlertKind::Resolved), 1);
+        let snap = tel.snapshot();
+        assert!(!snap.replicas[0].firing);
+        assert_eq!(snap.replicas[0].burns.last().map(|b| b.short), Some(0.0));
+        // Enough ticks to wrap: one reading per window, bounded by the
+        // ring length.
+        for _ in 0..100 {
+            ts += win / 2;
+            seen.completed += 1;
+            tel.tick(ts, &[seen]);
+        }
+        let kept = tel.replicas[0]
+            .readings
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len();
+        assert_eq!(kept, config().windows);
+        obs::set_series_enabled(false);
+    }
+
+    #[test]
+    fn deadline_range_subtracts_the_newest_reading_old_enough() {
+        let reading = |ts_ns, completed, missed| DeadlineReading {
+            ts_ns,
+            completed,
+            missed,
+        };
+        let readings: VecDeque<DeadlineReading> = [
+            reading(10, 100, 1),
+            reading(20, 150, 4),
+            reading(30, 200, 9),
+        ]
+        .into();
+        // now − range = 25: the reading at 20 is the newest that old.
+        assert_eq!(deadline_range(&readings, 35, 10), (5, 50));
+        // Exactly at a reading's timestamp counts as old enough.
+        assert_eq!(deadline_range(&readings, 30, 10), (5, 50));
+        // Nothing that old: fall back to the oldest kept reading.
+        assert_eq!(deadline_range(&readings, 35, 30), (8, 100));
+        assert_eq!(deadline_range(&VecDeque::new(), 35, 10), (0, 0));
     }
 
     #[test]
@@ -926,16 +1039,8 @@ mod tests {
         let _guard = series_lock();
         obs::set_series_enabled(false);
         let tel = FleetTelemetry::new(config(), &tenants(), 1).unwrap();
-        let server = ServerMetrics::new();
         tel.record_admission("gold", obs::now_ns(), AdmissionOutcome::Admitted);
-        tel.tick(
-            obs::now_ns(),
-            &[ReplicaObservation {
-                queue_frac: 0.5,
-                tier: 0,
-                metrics: &server,
-            }],
-        );
+        tel.tick(obs::now_ns(), &[idle(0.5, 0)]);
         let snap = tel.snapshot();
         assert_eq!(snap.tenants[1].totals.offered, 0);
         assert!(snap.tenants[1].burns.is_empty());
@@ -950,22 +1055,7 @@ mod tests {
         let tel = FleetTelemetry::new(config(), &tenants(), 2).unwrap();
         let ts = obs::now_ns();
         tel.record_admission("gold", ts, AdmissionOutcome::Throttled);
-        let server = ServerMetrics::new();
-        tel.tick(
-            ts + 10_000_000,
-            &[
-                ReplicaObservation {
-                    queue_frac: 0.25,
-                    tier: 1,
-                    metrics: &server,
-                },
-                ReplicaObservation {
-                    queue_frac: 0.75,
-                    tier: 2,
-                    metrics: &server,
-                },
-            ],
-        );
+        tel.tick(ts + 10_000_000, &[idle(0.25, 1), idle(0.75, 2)]);
         let snap = tel.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
         let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();

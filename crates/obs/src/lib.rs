@@ -1,20 +1,23 @@
 //! # rtoss-obs — observability for the R-TOSS serving stack
 //!
-//! End-to-end tracing, per-layer profiling, and metrics exposition for
-//! the sparse serving pipeline. Dependency-free (std only) so every
+//! End-to-end tracing, per-layer profiling, every metric primitive and
+//! the one metrics exposition path for the sparse serving pipeline.
+//! Dependency-free (std only) so every
 //! runtime crate — `rtoss-tensor`, `rtoss-sparse`, `rtoss-serve` — can
 //! instrument through it without pulling the dependency graph upward.
 //!
-//! Seven pieces:
+//! Eight pieces:
 //!
 //! - [`trace`] — the lock-cheap span/event core: thread-local span
 //!   stacks, per-thread buffers drained into a global collector, a
 //!   zero-cost disabled path, and sampling (`RTOSS_TRACE`,
 //!   `RTOSS_TRACE_SAMPLE`).
+//! - [`metrics`] — the cumulative primitives every serving crate
+//!   declares its metrics with: lock-striped counters and the one
+//!   log-bucket latency histogram.
 //! - [`timeseries`] — windowed time-series: fixed rings of aligned
-//!   time buckets (counter / counter-set / gauge / histogram) with
-//!   O(1) lock-cheap recording and the same one-atomic-load disabled
-//!   path (`RTOSS_SERIES`).
+//!   time buckets (counter set / gauge) with O(1) lock-cheap recording
+//!   and the same one-atomic-load disabled path (`RTOSS_SERIES`).
 //! - [`slo`] — multi-window burn-rate SLO monitors with
 //!   firing/resolved hysteresis, emitting structured alert events.
 //! - [`flight`] — the black-box flight recorder: a bounded ring of
@@ -22,7 +25,9 @@
 //! - [`chrome`] — exporters: Chrome/Perfetto `trace.json` and a JSONL
 //!   structured event log (methods on [`Trace`]).
 //! - [`prom`] — Prometheus text exposition: a generic metric model,
-//!   renderer, and parser (for round-trip verification).
+//!   the one renderer (it groups samples by family itself, so callers
+//!   may push in any order), and a parser (for round-trip
+//!   verification).
 //! - [`profile`] — per-span self-time aggregation and the top-N layer
 //!   table behind the `obs_profile` report.
 //!
@@ -51,6 +56,7 @@
 
 pub mod chrome;
 pub mod flight;
+pub mod metrics;
 pub mod profile;
 pub mod prom;
 pub mod slo;
@@ -62,9 +68,8 @@ pub use profile::{Profile, SpanStat};
 pub use prom::{sanitize_name, PromHistogram, PromMetric, PromSample, PromValue};
 pub use slo::{AlertEvent, AlertKind, AlertState, BurnRatePolicy, SloMonitor};
 pub use timeseries::{
-    series_enabled, set_series_enabled, GaugeSample, HistogramSample, SeriesSnapshot, SetSample,
-    WindowSample, WindowSpec, WindowedCounter, WindowedGauge, WindowedHistogram, WindowedSet,
-    SERIES_ENV,
+    series_enabled, set_series_enabled, GaugeSample, SetSample, WindowSpec, WindowedGauge,
+    WindowedSet, SERIES_ENV,
 };
 pub use trace::{
     batch_scope, current_tid, drain, emit_async, emit_instant, emit_instant_lazy, emit_span,

@@ -149,51 +149,62 @@ fn push_sample(out: &mut String, name: &str, labels: &[(String, String)], value:
     let _ = writeln!(out, " {}", fmt_value(value));
 }
 
-/// Renders metrics in Prometheus text exposition format. Metrics with
-/// the same name (e.g. per-variant labelled series) share one
-/// HELP/TYPE header, emitted at the first occurrence.
+/// Renders metrics in Prometheus text exposition format.
+///
+/// Every metric of one name is one family: it gets one HELP/TYPE
+/// header (taken from its first occurrence) and all its samples are
+/// written together, families in first-occurrence order. Callers may
+/// therefore push metrics in whatever order their data comes in (e.g.
+/// per tenant) and the exposition still keeps each family contiguous,
+/// as the format requires (RV043).
 pub fn render(metrics: &[PromMetric]) -> String {
+    let names: Vec<Cow<'_, str>> = metrics.iter().map(|m| sanitize_name(&m.name)).collect();
     let mut out = String::new();
-    let mut seen: Vec<String> = Vec::new();
-    for m in metrics {
-        let name = sanitize_name(&m.name);
-        if !seen.iter().any(|s| s == name.as_ref()) {
-            seen.push(name.clone().into_owned());
-            let kind = match m.value {
-                PromValue::Counter(_) => "counter",
-                PromValue::Gauge(_) => "gauge",
-                PromValue::Histogram(_) => "histogram",
-            };
-            let _ = writeln!(out, "# HELP {name} {}", m.help.replace('\n', " "));
-            let _ = writeln!(out, "# TYPE {name} {kind}");
+    for (first, name) in names.iter().enumerate() {
+        if names[..first].contains(name) {
+            continue;
         }
-        match &m.value {
-            PromValue::Counter(v) | PromValue::Gauge(v) => {
-                push_sample(&mut out, &name, &m.labels, *v);
-            }
-            PromValue::Histogram(h) => {
-                let bucket_name = format!("{name}_bucket");
-                let mut cumulative = 0u64;
-                for (ub, c) in h.upper_bounds.iter().zip(&h.counts) {
-                    cumulative += c;
-                    let mut labels = m.labels.clone();
-                    labels.push(("le".to_string(), fmt_value(*ub)));
-                    push_sample(&mut out, &bucket_name, &labels, cumulative as f64);
-                }
-                let mut labels = m.labels.clone();
-                labels.push(("le".to_string(), "+Inf".to_string()));
-                push_sample(&mut out, &bucket_name, &labels, h.count as f64);
-                push_sample(&mut out, &format!("{name}_sum"), &m.labels, h.sum);
-                push_sample(
-                    &mut out,
-                    &format!("{name}_count"),
-                    &m.labels,
-                    h.count as f64,
-                );
-            }
+        let kind = match metrics[first].value {
+            PromValue::Counter(_) => "counter",
+            PromValue::Gauge(_) => "gauge",
+            PromValue::Histogram(_) => "histogram",
+        };
+        let help = metrics[first].help.replace('\n', " ");
+        let _ = writeln!(out, "# HELP {name} {help}");
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        for (m, _) in metrics[first..]
+            .iter()
+            .zip(&names[first..])
+            .filter(|(_, n)| *n == name)
+        {
+            push_metric(&mut out, name, m);
         }
     }
     out
+}
+
+/// Writes the sample lines of one metric under the family `name`.
+fn push_metric(out: &mut String, name: &str, m: &PromMetric) {
+    match &m.value {
+        PromValue::Counter(v) | PromValue::Gauge(v) => {
+            push_sample(out, name, &m.labels, *v);
+        }
+        PromValue::Histogram(h) => {
+            let bucket_name = format!("{name}_bucket");
+            let mut cumulative = 0u64;
+            for (ub, c) in h.upper_bounds.iter().zip(&h.counts) {
+                cumulative += c;
+                let mut labels = m.labels.clone();
+                labels.push(("le".to_string(), fmt_value(*ub)));
+                push_sample(out, &bucket_name, &labels, cumulative as f64);
+            }
+            let mut labels = m.labels.clone();
+            labels.push(("le".to_string(), "+Inf".to_string()));
+            push_sample(out, &bucket_name, &labels, h.count as f64);
+            push_sample(out, &format!("{name}_sum"), &m.labels, h.sum);
+            push_sample(out, &format!("{name}_count"), &m.labels, h.count as f64);
+        }
+    }
 }
 
 /// One parsed sample line.
@@ -388,6 +399,25 @@ mod tests {
             .find(|s| s.name == "rtoss_execute_seconds_sum")
             .expect("sum sample");
         assert!((sum.value - 0.0123).abs() < 1e-12);
+    }
+
+    #[test]
+    fn interleaved_pushes_render_one_contiguous_group_per_family() {
+        // Pushed per tenant, as a caller iterating its tenants would.
+        let mut metrics = Vec::new();
+        for tenant in ["a", "b"] {
+            metrics.push(PromMetric::gauge("burn", "Burn rate", 1.0).with_label("tenant", tenant));
+            metrics.push(PromMetric::gauge("firing", "Firing", 0.0).with_label("tenant", tenant));
+        }
+        let text = render(&metrics);
+        let names: Vec<String> = parse(&text)
+            .expect("parses")
+            .into_iter()
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(names, ["burn", "burn", "firing", "firing"]);
+        assert_eq!(text.matches("# TYPE burn gauge").count(), 1);
+        assert!(text.find("# TYPE burn").unwrap() < text.find("# TYPE firing").unwrap());
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!
 //! Following the SRE multi-window pattern, a [`SloMonitor`] evaluates
 //! the burn over a **short** and a **long** trailing range (e.g. 5 s /
-//! 60 s — here both are query-time sums over the aligned windows of a
-//! [`crate::timeseries::WindowedCounter`], so the storage resolution
-//! is independent of the alert ranges):
+//! 60 s — both computed at query time from stored windows, so the
+//! storage resolution is independent of the alert ranges: range sums
+//! over a [`crate::timeseries::WindowedSet`], or differences of
+//! cumulative counter readings kept one per window):
 //!
 //! - **fire** when *both* ranges burn at ≥ `fire_burn` — the long
 //!   range proves the problem is sustained, the short range proves it

@@ -1,5 +1,12 @@
 //! Windowed time-series: fixed rings of aligned time buckets.
 //!
+//! Two recorder shapes share one ring engine: [`WindowedSet`] (named
+//! counter lanes that land in the same window, for per-window
+//! conservation laws) and [`WindowedGauge`] (count/last/min/max of an
+//! observed value per window). Cumulative counters and latency
+//! histograms are [`crate::metrics`]; a windowed view of a cumulative
+//! counter is a difference of two readings, not a second recorder.
+//!
 //! Every metric here is a ring of `spec.windows` slots, each slot
 //! holding the aggregate for one **aligned** wall-clock window
 //! (`[k·window_ns, (k+1)·window_ns)` of the trace epoch — a sample
@@ -93,11 +100,6 @@ impl WindowSpec {
     #[inline]
     pub fn window_index(&self, ts_ns: u64) -> u64 {
         ts_ns / self.window_ns
-    }
-
-    /// Total history the ring can hold, nanoseconds.
-    pub fn span_ns(&self) -> u64 {
-        self.window_ns.saturating_mul(self.windows as u64)
     }
 }
 
@@ -278,149 +280,6 @@ impl WindowRing {
 }
 
 // ---------------------------------------------------------------------
-// Counter.
-// ---------------------------------------------------------------------
-
-/// One live window of a [`WindowedCounter`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WindowSample {
-    /// Window start, nanoseconds since the trace epoch (aligned).
-    pub start_ns: u64,
-    /// Samples recorded in this window.
-    pub count: u64,
-    /// Sum of the sample values.
-    pub sum: u64,
-}
-
-/// Point-in-time view of one windowed counter, self-describing enough
-/// for `rtoss-verify`'s RV080/RV081 passes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeriesSnapshot {
-    /// Metric name (caller-chosen, e.g. `"offered"`).
-    pub name: String,
-    /// Window width, nanoseconds.
-    pub window_ns: u64,
-    /// Live windows, sorted by start.
-    pub windows: Vec<WindowSample>,
-    /// Grand total of accepted samples (count).
-    pub total_count: u64,
-    /// Grand total of accepted sample values.
-    pub total_sum: u64,
-    /// Count harvested from windows that rotated out of the ring.
-    pub evicted_count: u64,
-    /// Value sum harvested from windows that rotated out.
-    pub evicted_sum: u64,
-    /// Samples dropped because their window had already been reused.
-    pub late: u64,
-}
-
-const CTR_COUNT: usize = 0;
-const CTR_SUM: usize = 1;
-
-/// A windowed counter: per-window `count` and `sum` plus exact grand
-/// totals (`total == Σ live + evicted`, late samples tallied apart).
-#[derive(Debug)]
-pub struct WindowedCounter {
-    ring: WindowRing,
-    total_count: AtomicU64,
-    total_sum: AtomicU64,
-}
-
-impl WindowedCounter {
-    /// A zeroed counter over `spec`.
-    pub fn new(spec: WindowSpec) -> Self {
-        WindowedCounter {
-            ring: WindowRing::new(spec, 2),
-            total_count: AtomicU64::new(0),
-            total_sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Ring geometry.
-    pub fn spec(&self) -> WindowSpec {
-        self.ring.spec
-    }
-
-    /// Records one sample of value 1 at `ts_ns`.
-    #[inline]
-    pub fn incr_at(&self, ts_ns: u64) {
-        self.add_at(ts_ns, 1);
-    }
-
-    /// Records one sample of `value` at `ts_ns` (nanoseconds since the
-    /// trace epoch). One relaxed atomic load and out when recording is
-    /// disabled.
-    #[inline]
-    pub fn add_at(&self, ts_ns: u64, value: u64) {
-        if !series_enabled() {
-            return;
-        }
-        let landed = self.ring.record_at(
-            ts_ns,
-            |cells| {
-                cells[CTR_COUNT].fetch_add(1, Ordering::Relaxed);
-                cells[CTR_SUM].fetch_add(value, Ordering::Relaxed);
-            },
-            |_| {},
-        );
-        if landed {
-            self.total_count.fetch_add(1, Ordering::Relaxed);
-            self.total_sum.fetch_add(value, Ordering::Relaxed);
-        }
-    }
-
-    /// Live windows, sorted by start.
-    pub fn samples(&self) -> Vec<WindowSample> {
-        self.ring
-            .read()
-            .into_iter()
-            .map(|(w, v)| WindowSample {
-                start_ns: w * self.ring.spec.window_ns,
-                count: v[CTR_COUNT],
-                sum: v[CTR_SUM],
-            })
-            .collect()
-    }
-
-    /// `(count, sum)` over the trailing `range_ns` before `now_ns`
-    /// (whole aligned windows, including the partial current one).
-    pub fn range(&self, now_ns: u64, range_ns: u64) -> (u64, u64) {
-        (
-            self.ring.range_lane(now_ns, range_ns, CTR_COUNT),
-            self.ring.range_lane(now_ns, range_ns, CTR_SUM),
-        )
-    }
-
-    /// Grand totals `(count, sum)` of every accepted sample.
-    pub fn total(&self) -> (u64, u64) {
-        (
-            self.total_count.load(Ordering::Relaxed),
-            self.total_sum.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Samples dropped as too old (their window's slot was reused).
-    pub fn late(&self) -> u64 {
-        self.ring.late()
-    }
-
-    /// Self-describing snapshot for export and verification.
-    pub fn snapshot(&self, name: &str) -> SeriesSnapshot {
-        let (total_count, total_sum) = self.total();
-        SeriesSnapshot {
-            name: name.to_string(),
-            window_ns: self.ring.spec.window_ns,
-            windows: self.samples(),
-            total_count,
-            total_sum,
-            evicted_count: self.ring.evicted_lane(CTR_COUNT),
-            evicted_sum: self.ring.evicted_lane(CTR_SUM),
-            late: self.late(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Counter set: named lanes sharing one ring, for cross-lane
 // conservation laws (offered == admitted + throttled + shed per window).
 // ---------------------------------------------------------------------
@@ -453,11 +312,6 @@ impl WindowedSet {
             lane_names: lanes.to_vec(),
             totals: (0..lanes.len()).map(|_| AtomicU64::new(0)).collect(),
         }
-    }
-
-    /// Ring geometry.
-    pub fn spec(&self) -> WindowSpec {
-        self.ring.spec
     }
 
     /// Lane names in lane order.
@@ -541,34 +395,6 @@ impl WindowedSet {
     pub fn late(&self) -> u64 {
         self.ring.late()
     }
-
-    /// One [`SeriesSnapshot`] per lane (shared windows), named
-    /// `"{prefix}{lane}"`. Lane counts double as both `count` and
-    /// `sum` (every sample has value 1).
-    pub fn snapshots(&self, prefix: &str) -> Vec<SeriesSnapshot> {
-        let windows = self.samples();
-        self.lane_names
-            .iter()
-            .enumerate()
-            .map(|(lane, lane_name)| SeriesSnapshot {
-                name: format!("{prefix}{lane_name}"),
-                window_ns: self.ring.spec.window_ns,
-                windows: windows
-                    .iter()
-                    .map(|w| WindowSample {
-                        start_ns: w.start_ns,
-                        count: w.counts[lane],
-                        sum: w.counts[lane],
-                    })
-                    .collect(),
-                total_count: self.total_lane(lane),
-                total_sum: self.total_lane(lane),
-                evicted_count: self.evicted_lane(lane),
-                evicted_sum: self.evicted_lane(lane),
-                late: self.late(),
-            })
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -610,11 +436,6 @@ impl WindowedGauge {
         WindowedGauge {
             ring: WindowRing::new(spec, 4),
         }
-    }
-
-    /// Ring geometry.
-    pub fn spec(&self) -> WindowSpec {
-        self.ring.spec
     }
 
     /// Observes `value` at `ts_ns`. One relaxed atomic load and out
@@ -682,145 +503,52 @@ impl WindowedGauge {
     }
 }
 
-// ---------------------------------------------------------------------
-// Histogram.
-// ---------------------------------------------------------------------
-
-/// One live window of a [`WindowedHistogram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSample {
-    /// Window start, nanoseconds since the trace epoch.
-    pub start_ns: u64,
-    /// Per-bucket counts; `buckets.len() == bounds.len() + 1` (the
-    /// last bucket is the overflow bucket).
-    pub buckets: Vec<u64>,
-    /// Total samples (`Σ buckets`).
-    pub count: u64,
-    /// Sum of the recorded values.
-    pub sum: u64,
-}
-
-/// A windowed histogram over caller-chosen inclusive upper bounds
-/// (ascending); values above the last bound land in an overflow
-/// bucket. Per-window bucket counts plus count/sum.
-#[derive(Debug)]
-pub struct WindowedHistogram {
-    ring: WindowRing,
-    bounds: Vec<u64>,
-}
-
-impl WindowedHistogram {
-    /// A zeroed histogram over `spec` with the given ascending
-    /// inclusive upper bounds (at least one).
-    pub fn new(spec: WindowSpec, bounds: &[u64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        WindowedHistogram {
-            // Lanes: bounds+1 buckets, then count, then sum.
-            ring: WindowRing::new(spec, bounds.len() + 3),
-            bounds: bounds.to_vec(),
-        }
-    }
-
-    /// Ring geometry.
-    pub fn spec(&self) -> WindowSpec {
-        self.ring.spec
-    }
-
-    /// The inclusive upper bounds.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
-    /// Records `value` at `ts_ns`. One relaxed atomic load and out
-    /// when recording is disabled.
-    pub fn record_at(&self, ts_ns: u64, value: u64) {
-        if !series_enabled() {
-            return;
-        }
-        let bucket = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        let count_lane = self.bounds.len() + 1;
-        let sum_lane = self.bounds.len() + 2;
-        self.ring.record_at(
-            ts_ns,
-            |cells| {
-                cells[bucket].fetch_add(1, Ordering::Relaxed);
-                cells[count_lane].fetch_add(1, Ordering::Relaxed);
-                cells[sum_lane].fetch_add(value, Ordering::Relaxed);
-            },
-            |_| {},
-        );
-    }
-
-    /// Live windows, sorted by start.
-    pub fn samples(&self) -> Vec<HistogramSample> {
-        let buckets = self.bounds.len() + 1;
-        self.ring
-            .read()
-            .into_iter()
-            .map(|(w, v)| HistogramSample {
-                start_ns: w * self.ring.spec.window_ns,
-                buckets: v[..buckets].to_vec(),
-                count: v[buckets],
-                sum: v[buckets + 1],
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_lock;
 
-    fn spec_ms(window_ms: u64, windows: usize) -> WindowSpec {
-        WindowSpec::new(window_ms * 1_000_000, windows)
+    /// Window starts and per-lane counts of every live window.
+    fn windows(s: &WindowedSet) -> Vec<(u64, Vec<u64>)> {
+        s.samples()
+            .into_iter()
+            .map(|w| (w.start_ns, w.counts))
+            .collect()
     }
 
     #[test]
     fn disabled_recording_is_a_no_op() {
         let _g = test_lock();
         set_series_enabled(false);
-        let c = WindowedCounter::new(spec_ms(10, 4));
-        c.add_at(0, 5);
-        c.incr_at(1);
+        let s = WindowedSet::new(WindowSpec::new(10_000_000, 4), &["a", "b"]);
+        let g = WindowedGauge::new(WindowSpec::new(10_000_000, 4));
+        s.incr_at(0, 0);
+        s.incr_pair_at(1, 0, 1);
+        g.set_at(2, 1.0);
         set_series_enabled(true);
-        assert!(c.samples().is_empty());
-        assert_eq!(c.total(), (0, 0));
+        assert!(s.samples().is_empty());
+        assert_eq!((s.total_lane(0), s.total_lane(1)), (0, 0));
+        assert_eq!(g.last(), None);
         set_series_enabled(false);
     }
 
     #[test]
-    fn counter_buckets_align_and_conserve() {
+    fn set_windows_align_and_conserve() {
         let _g = test_lock();
         set_series_enabled(true);
         let w = 10_000_000; // 10 ms
-        let c = WindowedCounter::new(WindowSpec::new(w, 8));
-        c.add_at(0, 1);
-        c.add_at(w - 1, 2); // same window
-        c.add_at(w, 3); // boundary opens the next window
-        c.add_at(3 * w + 5, 4);
-        let s = c.samples();
-        assert_eq!(s.len(), 3);
+        let s = WindowedSet::new(WindowSpec::new(w, 8), &["a", "b"]);
+        s.incr_at(0, 0);
+        s.incr_at(w - 1, 1); // same window
+        s.incr_at(w, 0); // boundary opens the next window
+        s.incr_at(3 * w + 5, 1);
         assert_eq!(
-            s.iter().map(|x| x.start_ns).collect::<Vec<_>>(),
-            vec![0, w, 3 * w]
+            windows(&s),
+            vec![(0, vec![1, 1]), (w, vec![1, 0]), (3 * w, vec![0, 1])]
         );
-        assert_eq!((s[0].count, s[0].sum), (2, 3));
-        assert_eq!((s[1].count, s[1].sum), (1, 3));
-        assert_eq!((s[2].count, s[2].sum), (1, 4));
-        assert_eq!(c.total(), (4, 10));
-        assert_eq!(c.late(), 0);
-        let snap = c.snapshot("demo");
-        assert_eq!(snap.total_count, 4);
-        assert_eq!(snap.evicted_count, 0);
+        assert_eq!((s.total_lane(0), s.total_lane(1)), (2, 2));
+        assert_eq!((s.evicted_lane(0), s.evicted_lane(1)), (0, 0));
+        assert_eq!(s.late(), 0);
         set_series_enabled(false);
     }
 
@@ -829,23 +557,30 @@ mod tests {
         let _g = test_lock();
         set_series_enabled(true);
         let w = 1_000_000;
-        let c = WindowedCounter::new(WindowSpec::new(w, 4));
+        let s = WindowedSet::new(WindowSpec::new(w, 4), &["n"]);
+        // Window k gets k + 1 samples: 55 in all over windows 0..10.
         for k in 0..10u64 {
-            c.add_at(k * w, k + 1);
+            for _ in 0..=k {
+                s.incr_at(k * w, 0);
+            }
         }
-        let s = c.samples();
-        assert_eq!(s.len(), 4, "ring keeps the last 4 windows");
-        assert_eq!(s[0].start_ns, 6 * w);
-        let live: u64 = s.iter().map(|x| x.count).sum();
-        let (total, _) = c.total();
-        let snap = c.snapshot("wrap");
-        assert_eq!(total, live + snap.evicted_count, "conservation across wrap");
+        let live = windows(&s);
+        assert_eq!(live.len(), 4, "ring keeps the last 4 windows");
+        assert_eq!(live[0], (6 * w, vec![7]));
+        let live_sum: u64 = live.iter().map(|(_, c)| c[0]).sum();
+        assert_eq!(s.total_lane(0), 55);
+        assert_eq!(s.evicted_lane(0), 21);
+        assert_eq!(
+            s.total_lane(0),
+            live_sum + s.evicted_lane(0),
+            "conservation across wrap"
+        );
         // A monotonic clock can still deliver a sample whose window
         // rotated out long ago (e.g. a long-delayed drain): dropped as
         // late, never written into a newer window.
-        c.add_at(0, 99);
-        assert_eq!(c.late(), 1);
-        assert_eq!(c.total(), (total, snap.total_sum));
+        s.incr_at(0, 0);
+        assert_eq!(s.late(), 1);
+        assert_eq!(s.total_lane(0), 55);
         set_series_enabled(false);
     }
 
@@ -854,16 +589,14 @@ mod tests {
         let _g = test_lock();
         set_series_enabled(true);
         let w = 1_000_000;
-        let c = WindowedCounter::new(WindowSpec::new(w, 16));
+        let s = WindowedSet::new(WindowSpec::new(w, 16), &["n"]);
         for k in 0..8u64 {
-            c.add_at(k * w + 1, 1);
+            s.incr_at(k * w + 1, 0);
         }
         let now = 7 * w + 2;
         // Trailing 2 ms from within window 7 covers windows 5, 6, 7.
-        let (count, _) = c.range(now, 2 * w);
-        assert_eq!(count, 3);
-        let (all, _) = c.range(now, 100 * w);
-        assert_eq!(all, 8);
+        assert_eq!(s.range_lane(now, 2 * w, 0), 3);
+        assert_eq!(s.range_lane(now, 100 * w, 0), 8);
         set_series_enabled(false);
     }
 
@@ -889,9 +622,7 @@ mod tests {
         }
         assert_eq!(s.total_lane(0), 6);
         assert_eq!(s.total_lane(1) + s.total_lane(2), 6);
-        let snaps = s.snapshots("tenant/");
-        assert_eq!(snaps.len(), 3);
-        assert_eq!(snaps[0].name, "tenant/offered");
+        assert_eq!(s.lanes(), ["offered", "admitted", "shed"]);
         set_series_enabled(false);
     }
 
@@ -917,35 +648,19 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_by_inclusive_bound() {
-        let _g = test_lock();
-        set_series_enabled(true);
-        let h = WindowedHistogram::new(spec_ms(1, 4), &[10, 100]);
-        h.record_at(0, 10); // first bucket (inclusive)
-        h.record_at(0, 11); // second
-        h.record_at(0, 1000); // overflow
-        let s = h.samples();
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].buckets, vec![1, 1, 1]);
-        assert_eq!(s[0].count, 3);
-        assert_eq!(s[0].sum, 1021);
-        set_series_enabled(false);
-    }
-
-    #[test]
     fn concurrent_recording_conserves_counts() {
         let _g = test_lock();
         set_series_enabled(true);
         let w = 50_000; // 50 µs windows: rotations happen constantly
-        let c = std::sync::Arc::new(WindowedCounter::new(WindowSpec::new(w, 8)));
+        let s = std::sync::Arc::new(WindowedSet::new(WindowSpec::new(w, 8), &["a", "b"]));
         let threads = 4;
         let per_thread = 5_000u64;
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let c = c.clone();
+                let s = s.clone();
                 std::thread::spawn(move || {
                     for _ in 0..per_thread {
-                        c.incr_at(crate::now_ns());
+                        s.incr_pair_at(crate::now_ns(), 0, 1);
                     }
                 })
             })
@@ -953,17 +668,20 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let snap = c.snapshot("conc");
-        let live: u64 = snap.windows.iter().map(|x| x.count).sum();
         // A thread preempted between its now_ns() and the add can land
         // after its window rotated out (counted late) — but nothing is
-        // ever lost silently.
-        assert_eq!(snap.total_count + snap.late, threads as u64 * per_thread);
-        assert_eq!(
-            snap.total_count,
-            live + snap.evicted_count,
-            "no sample lost across rotations"
-        );
+        // ever lost silently, and a pair lands or drops as one.
+        assert_eq!(s.total_lane(0) + s.late(), threads as u64 * per_thread);
+        let live = windows(&s);
+        for lane in 0..2 {
+            let live_sum: u64 = live.iter().map(|(_, c)| c[lane]).sum();
+            assert_eq!(
+                s.total_lane(lane),
+                live_sum + s.evicted_lane(lane),
+                "no sample lost across rotations (lane {lane})"
+            );
+        }
+        assert_eq!(s.total_lane(0), s.total_lane(1));
         set_series_enabled(false);
     }
 }

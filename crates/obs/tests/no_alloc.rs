@@ -90,25 +90,20 @@ fn suppressed_lazy_instants_allocate_nothing_with_tracing_on() {
 
 #[test]
 fn disabled_series_recorders_allocate_nothing_per_sample() {
-    use rtoss_obs::timeseries::{
-        WindowSpec, WindowedCounter, WindowedGauge, WindowedHistogram, WindowedSet,
-    };
+    use rtoss_obs::timeseries::{WindowSpec, WindowedGauge, WindowedSet};
     let _flags = flag_lock();
     rtoss_obs::set_series_enabled(false);
     // Construction allocates; only the per-sample record path must not.
     let spec = WindowSpec::default();
-    let counter = WindowedCounter::new(spec);
     let set = WindowedSet::new(spec, &["offered", "admitted"]);
     let gauge = WindowedGauge::new(spec);
-    let histogram = WindowedHistogram::new(spec, &[100, 1_000, 10_000]);
 
     let before = allocations();
     for i in 0..10_000u64 {
         let ts = i * 1_000_000;
-        counter.add_at(ts, i);
+        set.incr_at(ts, 0);
         set.incr_pair_at(ts, 0, 1);
         gauge.set_at(ts, i as f64);
-        histogram.record_at(ts, i);
         std::hint::black_box(i);
     }
     let after = allocations();

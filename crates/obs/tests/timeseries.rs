@@ -3,7 +3,7 @@
 //! randomized per-window-sums-equal-totals conservation.
 
 use proptest::prelude::*;
-use rtoss_obs::timeseries::{set_series_enabled, WindowSpec, WindowedCounter, WindowedSet};
+use rtoss_obs::timeseries::{set_series_enabled, WindowSpec, WindowedSet};
 use std::collections::BTreeMap;
 
 /// Serializes tests: the series-enabled flag is process-wide.
@@ -14,18 +14,28 @@ fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
 
 const W: u64 = 1_000_000; // 1 ms windows
 
+/// A one-lane set: the plain windowed counter shape.
+fn counter(windows: usize) -> WindowedSet {
+    WindowedSet::new(WindowSpec::new(W, windows), &["n"])
+}
+
+/// `(start_ns, count)` of every live window of a one-lane set.
+fn counts(s: &WindowedSet) -> Vec<(u64, u64)> {
+    s.samples()
+        .into_iter()
+        .map(|w| (w.start_ns, w.counts[0]))
+        .collect()
+}
+
 #[test]
 fn boundary_sample_opens_the_new_window() {
     let _flags = flag_lock();
     set_series_enabled(true);
-    let c = WindowedCounter::new(WindowSpec::new(W, 8));
-    c.add_at(W - 1, 1); // last nanosecond of window 0
-    c.add_at(W, 10); // exactly on the boundary: opens window 1
-    c.add_at(W + 1, 100);
-    let s = c.samples();
-    assert_eq!(s.len(), 2);
-    assert_eq!((s[0].start_ns, s[0].count, s[0].sum), (0, 1, 1));
-    assert_eq!((s[1].start_ns, s[1].count, s[1].sum), (W, 2, 110));
+    let c = counter(8);
+    c.incr_at(W - 1, 0); // last nanosecond of window 0
+    c.incr_at(W, 0); // exactly on the boundary: opens window 1
+    c.incr_at(W + 1, 0);
+    assert_eq!(counts(&c), vec![(0, 1), (W, 2)]);
     set_series_enabled(false);
 }
 
@@ -33,22 +43,21 @@ fn boundary_sample_opens_the_new_window() {
 fn backwards_clock_lands_in_live_windows_and_goes_late_past_them() {
     let _flags = flag_lock();
     set_series_enabled(true);
-    let c = WindowedCounter::new(WindowSpec::new(W, 4));
+    let c = counter(4);
     // Fill windows 4..8: the 4-slot ring now holds exactly those four.
     for k in 4..8u64 {
-        c.add_at(k * W, 1);
+        c.incr_at(k * W, 0);
     }
     // A modest backwards step to a still-live window is fine: the
     // sample lands in window 5, not in the current one.
-    c.add_at(5 * W + 10, 1);
+    c.incr_at(5 * W + 10, 0);
     assert_eq!(c.late(), 0);
-    let s = c.samples();
-    assert_eq!(s.iter().find(|x| x.start_ns == 5 * W).unwrap().count, 2);
+    assert!(counts(&c).contains(&(5 * W, 2)));
     // A step to before the ring's history cannot land — its slot holds
     // a newer window — and must be tallied late, not silently merged.
-    c.add_at(2 * W, 7);
+    c.incr_at(2 * W, 0);
     assert_eq!(c.late(), 1);
-    assert_eq!(c.total(), (5, 5), "late samples never reach the totals");
+    assert_eq!(c.total_lane(0), 5, "late samples never reach the totals");
     set_series_enabled(false);
 }
 
@@ -56,18 +65,17 @@ fn backwards_clock_lands_in_live_windows_and_goes_late_past_them() {
 fn ring_wrap_after_idle_gap_evicts_the_stale_window() {
     let _flags = flag_lock();
     set_series_enabled(true);
-    let c = WindowedCounter::new(WindowSpec::new(W, 4));
-    c.add_at(1, 3);
+    let c = counter(4);
+    for _ in 0..3 {
+        c.incr_at(1, 0);
+    }
     // Idle for far longer than the whole ring span, then resume in a
     // window that reuses slot 0 (100 % 4 == 0): the stale window must
     // be harvested into the evicted totals, not reported as live.
-    c.add_at(100 * W, 5);
-    let s = c.samples();
-    assert_eq!(s.len(), 1);
-    assert_eq!(s[0].start_ns, 100 * W);
-    let snap = c.snapshot("idle-wrap");
-    assert_eq!((snap.evicted_count, snap.evicted_sum), (1, 3));
-    assert_eq!(snap.total_count, s[0].count + snap.evicted_count);
+    c.incr_at(100 * W, 0);
+    assert_eq!(counts(&c), vec![(100 * W, 1)]);
+    assert_eq!(c.evicted_lane(0), 3);
+    assert_eq!(c.total_lane(0), 1 + c.evicted_lane(0));
     assert_eq!(c.late(), 0);
     set_series_enabled(false);
 }
@@ -75,34 +83,34 @@ fn ring_wrap_after_idle_gap_evicts_the_stale_window() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any sample batch within one ring span: every window's count/sum
-    /// matches an independent model exactly, and the grand totals equal
-    /// the per-window sums (nothing evicted, nothing late).
+    /// Any sample batch within one ring span: every window's per-lane
+    /// count matches an independent model exactly, and the grand totals
+    /// equal the per-window sums (nothing evicted, nothing late).
     #[test]
-    fn counter_window_sums_match_totals(
-        samples in proptest::collection::vec((0u64..64 * W, 0u64..1_000), 1..200)
+    fn set_window_sums_match_totals(
+        samples in proptest::collection::vec((0u64..64 * W, 0usize..3), 1..200)
     ) {
         let _flags = flag_lock();
         set_series_enabled(true);
-        let c = WindowedCounter::new(WindowSpec::new(W, 64));
-        let mut model: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        for &(ts, v) in &samples {
-            c.add_at(ts, v);
-            let e = model.entry(ts / W * W).or_default();
-            e.0 += 1;
-            e.1 += v;
+        let s = WindowedSet::new(WindowSpec::new(W, 64), &["a", "b", "c"]);
+        let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for &(ts, lane) in &samples {
+            s.incr_at(ts, lane);
+            model.entry(ts / W * W).or_insert_with(|| vec![0; 3])[lane] += 1;
         }
-        let got: BTreeMap<u64, (u64, u64)> = c
+        let got: BTreeMap<u64, Vec<u64>> = s
             .samples()
             .into_iter()
-            .map(|w| (w.start_ns, (w.count, w.sum)))
+            .map(|w| (w.start_ns, w.counts))
             .collect();
         set_series_enabled(false);
         prop_assert_eq!(&got, &model);
-        let live: (u64, u64) = got.values().fold((0, 0), |a, v| (a.0 + v.0, a.1 + v.1));
-        prop_assert_eq!(c.total(), live);
-        prop_assert_eq!(c.late(), 0);
-        prop_assert_eq!(c.snapshot("prop").evicted_count, 0);
+        for lane in 0..3 {
+            let live: u64 = got.values().map(|c| c[lane]).sum();
+            prop_assert_eq!(s.total_lane(lane), live);
+            prop_assert_eq!(s.evicted_lane(lane), 0);
+        }
+        prop_assert_eq!(s.late(), 0);
     }
 
     /// Paired-lane recording keeps `offered == Σ outcome lanes` in

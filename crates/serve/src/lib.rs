@@ -17,9 +17,13 @@
 //!   execution (`SparseModel::forward_batch` guarantees it);
 //! - **panic isolation**: a panicking model fails only its own batch,
 //!   is counted, and the worker keeps serving;
-//! - **lock-striped metrics** with log-bucket latency histograms per
-//!   serving phase (queue-wait / batch-assembly / execute) and a
-//!   serde-serializable [`MetricsSnapshot`];
+//! - **metrics** declared over `rtoss_obs::metrics`' lock-striped
+//!   counters and log-bucket latency histogram: one cumulative counter
+//!   per outcome, one histogram per serving phase (queue-wait /
+//!   batch-assembly / execute), and a serde-serializable
+//!   [`MetricsSnapshot`]. A completion is counted once, in the
+//!   cumulative counters; windowed views (the fleet's deadline burn
+//!   rate) are derived from readings of those counters;
 //! - a modelled **energy hook** charging each request its share of a
 //!   micro-batched pass on an [`rtoss_hw`] device model.
 //!
@@ -61,10 +65,7 @@ mod queue;
 mod request;
 mod server;
 
-pub use metrics::{
-    LatencyHistogram, MetricsSnapshot, PhaseHistogram, PhaseStats, ServerMetrics, ServerSeries,
-    StripedCounter,
-};
+pub use metrics::{MetricsSnapshot, PhaseHistogram, PhaseStats, ServerMetrics};
 pub use queue::BackpressurePolicy;
 pub use request::{
     InferenceRequest, InferenceResponse, RequestError, RequestResult, RequestTiming, Ticket,

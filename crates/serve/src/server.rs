@@ -476,11 +476,6 @@ fn serve_batch(
                 if deadline_missed {
                     metrics.deadline_missed.incr();
                 }
-                metrics.series.record_completion(
-                    obs::ts_ns(now),
-                    now.duration_since(pending.request.submitted_at),
-                    deadline_missed,
-                );
                 if let Some(per_frame_j) = per_frame_energy_j {
                     let request_frames = pending.request.input.shape()[0] as f64;
                     let uj = (per_frame_j * request_frames * 1e6).round().max(0.0) as u64;

@@ -37,7 +37,7 @@ impl Error for SparseFormatError {}
 ///
 /// `code` is a stable diagnostic identifier from the RV0xx registry
 /// (see DESIGN.md §9); the `rtoss-verify` crate wraps these into full
-/// [`Diagnostic`]s with location context.
+/// `rtoss_verify::Diagnostic`s with location context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FormatViolation {
     /// Stable diagnostic code (e.g. `"RV010"`).

@@ -67,21 +67,18 @@ fn disabled_tracing_overhead_is_under_one_percent_of_forward() {
          (probe {probe_ns:.2} ns), over 1% of a {forward_ns:.0} ns forward pass"
     );
 
-    // The fleet telemetry layer adds windowed-series probes on the same
-    // hot paths (admission gate, respond path). Hold the disabled
-    // recorders to the same budget: a serving request pays at most a
-    // handful of series probes, so 100 per forward is again a gross
-    // over-count.
+    // The fleet telemetry layer adds a windowed-series probe on the
+    // admission gate. Hold the disabled recorder to the same budget: a
+    // serving request pays at most a handful of series probes, so 100
+    // per forward is again a gross over-count.
     rtoss_obs::set_series_enabled(false);
     let spec = rtoss_obs::timeseries::WindowSpec::default();
-    let counter = rtoss_obs::timeseries::WindowedCounter::new(spec);
     let set = rtoss_obs::timeseries::WindowedSet::new(spec, &["offered", "admitted"]);
     let mut series_ns = f64::INFINITY;
     for _ in 0..BATCHES {
         let start = Instant::now();
         for i in 0..PROBES {
             let ts = u64::from(i) * 1_000;
-            counter.add_at(ts, u64::from(i));
             set.incr_pair_at(ts, 0, 1);
             std::hint::black_box(i);
         }

@@ -232,14 +232,15 @@ fn check_telemetry_file(label: &str, text: &str) -> Report {
 }
 
 fn fixture_run(name: &str, json: bool) -> ExitCode {
-    let Some(report) = fixtures::run(name) else {
+    let Some(&(_, run, _)) = fixtures::FIXTURES.iter().find(|f| f.0 == name) else {
+        let known: Vec<&str> = fixtures::FIXTURES.iter().map(|f| f.0).collect();
         eprintln!(
             "verify: unknown fixture {name:?}; known: {}",
-            fixtures::NAMES.join(", ")
+            known.join(", ")
         );
         return ExitCode::from(2);
     };
-    emit(&report, json)
+    emit(&run(), json)
 }
 
 fn main() -> ExitCode {
@@ -254,7 +255,7 @@ fn main() -> ExitCode {
         ["--telemetry", path] => file_run(path, json, check_telemetry_file),
         ["--flight", path] => file_run(path, json, rtoss_verify::check_flight_dump),
         ["--list-fixtures"] => {
-            for name in fixtures::NAMES {
+            for (name, _, _) in fixtures::FIXTURES {
                 println!("{name}");
             }
             ExitCode::SUCCESS

@@ -16,11 +16,11 @@
 //! The serving histogram's bucket boundaries must be strictly
 //! monotonic with half-open `(upper(i-1), upper(i)]` ranges;
 //! [`check_histogram_buckets`] proves it for
-//! [`rtoss_serve::LatencyHistogram`] and
+//! [`rtoss_obs::metrics::LatencyHistogram`] and
 //! [`check_histogram_mapping`] for any `(upper, index)` pair.
 
 use crate::diag::{Diagnostic, Report};
-use rtoss_serve::LatencyHistogram;
+use rtoss_obs::metrics::LatencyHistogram;
 use rtoss_sparse::{LevelDeal, PlanSummary};
 use std::collections::BTreeMap;
 

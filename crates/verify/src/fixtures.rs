@@ -18,119 +18,53 @@ use rtoss_core::prune1x1::prune_1x1_weights;
 use rtoss_core::{EntryPattern, Pruner, RTossPruner};
 use rtoss_nn::layers::Conv2d;
 use rtoss_nn::Graph;
-use rtoss_serve::LatencyHistogram;
+use rtoss_obs::metrics::LatencyHistogram;
 use rtoss_sparse::{PatternCompressedConv, PatternGroup};
 use rtoss_tensor::{init, Tensor};
 use std::collections::BTreeSet;
 
-/// Fixture names accepted by [`run`], in registry order.
-pub const NAMES: &[&str] = &[
-    "mask",
-    "group",
-    "roundtrip",
-    "format",
-    "tiles",
-    "histogram",
-    "lint",
-    "trace-nesting",
-    "trace-order",
-    "trace-orphan",
-    "prom",
-    "plan-schedule",
-    "plan-arena",
-    "plan-fused",
-    "plan-level-dep",
-    "plan-level-alias",
-    "fleet-ring",
-    "fleet-tier",
-    "fleet-quota",
-    "plan-hb",
-    "pool-order",
-    "lint-lock-order",
-    "lint-relaxed-store",
-    "lint-lock-across-submit",
-    "series-window",
-    "series-conserve",
-    "slo-hysteresis",
-    "flight-dump",
-    "kernel-pack",
-    "kernel-equiv",
+/// One seeded-corruption fixture: its name, the function that builds
+/// and checks the corrupted artifact, and the registry code it is
+/// guaranteed to trigger.
+pub type Fixture = (&'static str, fn() -> Report, &'static str);
+
+/// Every fixture, in registry order.
+pub const FIXTURES: &[Fixture] = &[
+    ("mask", mask_fixture, "RV002"),
+    ("group", group_fixture, "RV004"),
+    ("roundtrip", roundtrip_fixture, "RV005"),
+    ("format", format_fixture, "RV010"),
+    ("tiles", tiles_fixture, "RV020"),
+    ("histogram", histogram_fixture, "RV021"),
+    ("lint", lint_fixture, "RV030"),
+    ("trace-nesting", trace_nesting_fixture, "RV040"),
+    ("trace-order", trace_order_fixture, "RV041"),
+    ("trace-orphan", trace_orphan_fixture, "RV042"),
+    ("prom", prom_fixture, "RV043"),
+    ("plan-schedule", plan_schedule_fixture, "RV050"),
+    ("plan-arena", plan_arena_fixture, "RV051"),
+    ("plan-fused", plan_fused_fixture, "RV052"),
+    ("plan-level-dep", plan_level_dep_fixture, "RV054"),
+    ("plan-level-alias", plan_level_alias_fixture, "RV054"),
+    ("fleet-ring", fleet_ring_fixture, "RV060"),
+    ("fleet-tier", fleet_tier_fixture, "RV061"),
+    ("fleet-quota", fleet_quota_fixture, "RV062"),
+    ("plan-hb", plan_hb_fixture, "RV070"),
+    ("pool-order", pool_order_fixture, "RV070"),
+    ("lint-lock-order", lint_lock_order_fixture, "RV071"),
+    ("lint-relaxed-store", lint_relaxed_store_fixture, "RV072"),
+    (
+        "lint-lock-across-submit",
+        lint_lock_across_submit_fixture,
+        "RV073",
+    ),
+    ("series-window", series_window_fixture, "RV080"),
+    ("series-conserve", series_conserve_fixture, "RV081"),
+    ("slo-hysteresis", slo_hysteresis_fixture, "RV082"),
+    ("flight-dump", flight_dump_fixture, "RV083"),
+    ("kernel-pack", kernel_pack_fixture, "RV090"),
+    ("kernel-equiv", kernel_equiv_fixture, "RV092"),
 ];
-
-/// Runs the named fixture, returning its report (`None` for an unknown
-/// name).
-pub fn run(name: &str) -> Option<Report> {
-    match name {
-        "mask" => Some(mask_fixture()),
-        "group" => Some(group_fixture()),
-        "roundtrip" => Some(roundtrip_fixture()),
-        "format" => Some(format_fixture()),
-        "tiles" => Some(tiles_fixture()),
-        "histogram" => Some(histogram_fixture()),
-        "lint" => Some(lint_fixture()),
-        "trace-nesting" => Some(trace_nesting_fixture()),
-        "trace-order" => Some(trace_order_fixture()),
-        "trace-orphan" => Some(trace_orphan_fixture()),
-        "prom" => Some(prom_fixture()),
-        "plan-schedule" => Some(plan_schedule_fixture()),
-        "plan-arena" => Some(plan_arena_fixture()),
-        "plan-fused" => Some(plan_fused_fixture()),
-        "plan-level-dep" => Some(plan_level_dep_fixture()),
-        "plan-level-alias" => Some(plan_level_alias_fixture()),
-        "fleet-ring" => Some(fleet_ring_fixture()),
-        "fleet-tier" => Some(fleet_tier_fixture()),
-        "fleet-quota" => Some(fleet_quota_fixture()),
-        "plan-hb" => Some(plan_hb_fixture()),
-        "pool-order" => Some(pool_order_fixture()),
-        "lint-lock-order" => Some(lint_lock_order_fixture()),
-        "lint-relaxed-store" => Some(lint_relaxed_store_fixture()),
-        "lint-lock-across-submit" => Some(lint_lock_across_submit_fixture()),
-        "series-window" => Some(series_window_fixture()),
-        "series-conserve" => Some(series_conserve_fixture()),
-        "slo-hysteresis" => Some(slo_hysteresis_fixture()),
-        "flight-dump" => Some(flight_dump_fixture()),
-        "kernel-pack" => Some(kernel_pack_fixture()),
-        "kernel-equiv" => Some(kernel_equiv_fixture()),
-        _ => None,
-    }
-}
-
-/// The registry code each fixture is guaranteed to trigger.
-pub fn expected_code(name: &str) -> Option<&'static str> {
-    match name {
-        "mask" => Some("RV002"),
-        "group" => Some("RV004"),
-        "roundtrip" => Some("RV005"),
-        "format" => Some("RV010"),
-        "tiles" => Some("RV020"),
-        "histogram" => Some("RV021"),
-        "lint" => Some("RV030"),
-        "trace-nesting" => Some("RV040"),
-        "trace-order" => Some("RV041"),
-        "trace-orphan" => Some("RV042"),
-        "prom" => Some("RV043"),
-        "plan-schedule" => Some("RV050"),
-        "plan-arena" => Some("RV051"),
-        "plan-fused" => Some("RV052"),
-        "plan-level-dep" => Some("RV054"),
-        "plan-level-alias" => Some("RV054"),
-        "fleet-ring" => Some("RV060"),
-        "fleet-tier" => Some("RV061"),
-        "fleet-quota" => Some("RV062"),
-        "plan-hb" => Some("RV070"),
-        "pool-order" => Some("RV070"),
-        "lint-lock-order" => Some("RV071"),
-        "lint-relaxed-store" => Some("RV072"),
-        "lint-lock-across-submit" => Some("RV073"),
-        "series-window" => Some("RV080"),
-        "series-conserve" => Some("RV081"),
-        "slo-hysteresis" => Some("RV082"),
-        "flight-dump" => Some("RV083"),
-        "kernel-pack" => Some("RV090"),
-        "kernel-equiv" => Some("RV092"),
-        _ => None,
-    }
-}
 
 /// Mask legality: one kernel keeps two opposite corners (disconnected,
 /// RV002), another keeps six weights (illegal entry count, RV001).
@@ -926,9 +860,8 @@ mod tests {
 
     #[test]
     fn every_fixture_triggers_its_registry_code() {
-        for &name in NAMES {
-            let report = run(name).expect("known fixture");
-            let code = expected_code(name).expect("known fixture");
+        for &(name, run, code) in FIXTURES {
+            let report = run();
             assert!(
                 report.has_code(code),
                 "fixture {name} did not trigger {code}:\n{}",
@@ -936,11 +869,5 @@ mod tests {
             );
             assert!(report.has_errors(), "fixture {name} produced no errors");
         }
-    }
-
-    #[test]
-    fn unknown_fixture_is_none() {
-        assert!(run("nope").is_none());
-        assert!(expected_code("nope").is_none());
     }
 }

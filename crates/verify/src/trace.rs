@@ -14,10 +14,11 @@
 //! - **RV042** — every `execute` span contains at least one
 //!   `layer:*` child span on its own thread: a trace whose executes
 //!   are hollow means the per-layer instrumentation was lost.
-//! - **RV043** — Prometheus text exposition lint: parseable lines,
-//!   cumulative histogram buckets with strictly increasing `le`
-//!   bounds ending at `+Inf`, and `_sum`/`_count` samples agreeing
-//!   with the buckets.
+//! - **RV043** — Prometheus text exposition lint: parseable lines, no
+//!   series (name plus label set) written twice, each family's samples
+//!   contiguous, cumulative histogram buckets with strictly increasing
+//!   `le` bounds ending at `+Inf`, and `_sum`/`_count` samples
+//!   agreeing with the buckets.
 //! - **RV044** — the exposition round-trips against a
 //!   [`MetricsSnapshot`]: parsed bucket counts reconstruct the
 //!   snapshot's phase histograms exactly.
@@ -27,7 +28,7 @@ use rtoss_obs::prom::{self, PromSample};
 use rtoss_obs::{EventKind, Trace, TraceEvent};
 use rtoss_serve::MetricsSnapshot;
 use serde::Value;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Runs RV040–RV042 over a drained trace.
 pub fn check_trace(label: &str, trace: &Trace) -> Report {
@@ -332,7 +333,9 @@ pub fn check_prometheus(label: &str, text: &str) -> Report {
             ));
         }
     }
-    for (base, fam) in collect_families(&samples) {
+    let histograms = collect_families(&samples);
+    check_series_layout(label, &samples, &histograms, &mut report);
+    for (base, fam) in histograms {
         let loc = format!("{label}: {base}");
         let mut prev_le = f64::NEG_INFINITY;
         let mut prev_cum = f64::NEG_INFINITY;
@@ -420,6 +423,65 @@ pub fn check_prometheus(label: &str, text: &str) -> Report {
     report
 }
 
+/// RV043's layout legs: no series (name plus label set) appears twice,
+/// and every family's samples are contiguous. A histogram's `_bucket`,
+/// `_sum` and `_count` samples belong to one family.
+fn check_series_layout(
+    label: &str,
+    samples: &[PromSample],
+    histograms: &[(String, BucketFamily<'_>)],
+    report: &mut Report,
+) {
+    let family = |name: &str| -> String {
+        ["_bucket", "_sum", "_count"]
+            .iter()
+            .filter_map(|suffix| name.strip_suffix(suffix))
+            .find(|base| histograms.iter().any(|(h, _)| h == base))
+            .unwrap_or(name)
+            .to_string()
+    };
+    let mut series: BTreeSet<(String, Vec<(String, String)>)> = BTreeSet::new();
+    // Families whose run of samples has ended, and those already
+    // reported as split (one finding per family).
+    let mut closed: BTreeSet<String> = BTreeSet::new();
+    let mut split: BTreeSet<String> = BTreeSet::new();
+    let mut current: Option<String> = None;
+    for s in samples {
+        let mut labels = s.labels.clone();
+        labels.sort();
+        if !series.insert((s.name.clone(), labels)) {
+            report.push(Diagnostic::error(
+                "RV043",
+                format!("{label}: {}", s.name),
+                format!("series {} appears twice", series_id(s)),
+            ));
+        }
+        let fam = family(&s.name);
+        if current.as_ref() == Some(&fam) {
+            continue;
+        }
+        if closed.contains(&fam) && split.insert(fam.clone()) {
+            report.push(Diagnostic::error(
+                "RV043",
+                format!("{label}: {fam}"),
+                format!(
+                    "family {fam} is not contiguous: its samples resume at {} after other families",
+                    series_id(s)
+                ),
+            ));
+        }
+        if let Some(prev) = current.replace(fam) {
+            closed.insert(prev);
+        }
+    }
+}
+
+/// `name{k="v",…}` for diagnostics.
+fn series_id(s: &PromSample) -> String {
+    let labels: Vec<String> = s.labels.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
+    format!("{}{{{}}}", s.name, labels.join(","))
+}
+
 /// RV043 + RV044: lints the exposition, then proves the phase
 /// histograms round-trip against `snapshot` bucket by bucket.
 pub fn check_prometheus_snapshot(label: &str, text: &str, snapshot: &MetricsSnapshot) -> Report {
@@ -505,7 +567,8 @@ pub fn check_prometheus_snapshot(label: &str, text: &str, snapshot: &MetricsSnap
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtoss_serve::{LatencyHistogram, ServerMetrics};
+    use rtoss_obs::metrics::LatencyHistogram;
+    use rtoss_serve::ServerMetrics;
     use std::borrow::Cow;
     use std::time::Duration;
 
@@ -674,6 +737,55 @@ h_count 9
             report.error_count() >= 2,
             "decrease AND +Inf/count mismatch"
         );
+    }
+
+    #[test]
+    fn duplicate_series_is_rv043() {
+        // Two writers of one ledger counter, concatenated: the same
+        // name and label set (in either label order) twice.
+        let text = "\
+a_total{tenant=\"t\",class=\"gold\"} 3
+a_total{class=\"gold\",tenant=\"t\"} 0
+";
+        let report = check_prometheus("dup", text);
+        assert!(report.has_code("RV043"), "{}", report.render());
+        assert!(
+            report.render().contains("appears twice"),
+            "{}",
+            report.render()
+        );
+        // Same name, different label set: distinct series, clean.
+        let ok = "a_total{tenant=\"t\"} 3\na_total{tenant=\"u\"} 0\n";
+        assert!(!check_prometheus("distinct", ok).has_errors());
+    }
+
+    #[test]
+    fn non_contiguous_family_is_rv043() {
+        // Per-tenant pushes without grouping: `burn` resumes after
+        // `firing`.
+        let text = "\
+burn{tenant=\"a\"} 1
+firing{tenant=\"a\"} 0
+burn{tenant=\"b\"} 1
+firing{tenant=\"b\"} 0
+";
+        let report = check_prometheus("split", text);
+        assert!(report.has_code("RV043"), "{}", report.render());
+        assert_eq!(report.error_count(), 2, "one finding per split family");
+        assert!(
+            report.render().contains("not contiguous"),
+            "{}",
+            report.render()
+        );
+        // A histogram's _bucket/_sum/_count run is one family.
+        let hist = "\
+h_bucket{le=\"0.1\"} 1
+h_bucket{le=\"+Inf\"} 2
+h_sum 0.5
+h_count 2
+g 1
+";
+        assert!(!check_prometheus("histogram", hist).has_errors());
     }
 
     #[test]

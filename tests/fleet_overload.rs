@@ -6,8 +6,9 @@
 //!   meets more deadlines than the same fleet pinned to dense;
 //! - the SLO telemetry plane of an overloaded fleet that then goes
 //!   quiet passes the ledger checks (RV062/RV063) and the telemetry
-//!   checks (RV080–RV083, with the ledger cross-check), its Bulk
-//!   admission alert fires and resolves, and the flight recorder dumps.
+//!   checks (RV080–RV083, with the ledger cross-check), the ledger and
+//!   telemetry expositions together pass RV043, its Bulk admission
+//!   alert fires and resolves, and the flight recorder dumps.
 //!   The settled snapshot and the first dump are written to
 //!   `CARGO_TARGET_TMPDIR` as `fleet_telemetry.json` and
 //!   `fleet_flight.json`, for `verify --telemetry`, `verify --flight`
@@ -205,6 +206,11 @@ fn overloaded_fleet_telemetry_fires_resolves_and_verifies() {
         let label = format!("flight dump[{i}] ({})", dump.reason);
         check.extend(rtoss::verify::check_flight_dump(&label, &dump.json).diagnostics);
     }
+    // The ledger and telemetry writers own disjoint families, so one
+    // scrape of both is a valid exposition: no series twice, every
+    // family contiguous (RV043).
+    let exposition = ledger.to_prometheus() + &snapshot.to_prometheus();
+    check.extend(rtoss::verify::check_prometheus("fleet exposition", &exposition).diagnostics);
     assert!(!check.has_errors(), "{}", check.render());
 
     let bulk = |state: &str| {

@@ -130,9 +130,8 @@ fn executor_invariants_hold() {
 
 #[test]
 fn every_corruption_fixture_fires_its_code() {
-    for &name in fixtures::NAMES {
-        let report = fixtures::run(name).expect("known fixture");
-        let code = fixtures::expected_code(name).expect("known fixture");
+    for &(name, run, code) in fixtures::FIXTURES {
+        let report = run();
         assert!(
             report.has_code(code),
             "fixture {name}: expected {code}\n{}",
