@@ -44,7 +44,8 @@ use crate::format::{PatternCompressedConv, UnstructuredSparseConv};
 use crate::pack::Pack;
 use rtoss_tensor::exec::{Epilogue, ExecConfig};
 use rtoss_tensor::microkernel::{
-    accum_kernel, accum_taps, pad_plane_into, padded_plane_len, writeback, FastDivmod, Tile, MR, NR,
+    accum_kernel, accum_taps, pad_plane_into, padded_plane_len, writeback, FastDivmod, PhaseLayout,
+    Tile, MR, NR,
 };
 use rtoss_tensor::ops::out_extent;
 use rtoss_tensor::{Tensor, TensorError};
@@ -160,7 +161,6 @@ struct ConvGeom {
     o: usize,
     oh: usize,
     ow: usize,
-    k: usize,
     stride: usize,
     pad: usize,
 }
@@ -213,7 +213,6 @@ fn check_conv_into(
         o: out_ch,
         oh,
         ow,
-        k: pack.kernel,
         stride: pack.stride,
         pad: pack.pad,
     })
@@ -244,8 +243,9 @@ fn conv_entry(x: &Tensor, pack: &Pack, bias: Option<&[f32]>) -> Result<Tensor, T
 }
 
 /// Register-tiled `(batch, out-channel)`-plane walk under
-/// [`conv2d_packed_into`]. Stages the input into zero-padded planes
-/// (one pass — see the microkernel module docs), then walks each output
+/// [`conv2d_packed_into`]. Stages the input into zero-padded,
+/// phase-split planes (one pass — see the microkernel module docs, which
+/// make every tap a contiguous load at any stride), then walks each output
 /// plane in [`MR`]×[`NR`] tiles and hands each tile to
 /// `tile_fn(oc, tile, x_batch, out_plane)`. Block and plane indices are
 /// decomposed with [`FastDivmod`] — no hardware divide on the walk.
@@ -275,10 +275,11 @@ fn run_tiled_conv(
     let seg_div = FastDivmod::new(segs_per_row as u32);
     let oc_div = FastDivmod::new(g.o as u32);
     let hw = g.h * g.w;
-    let php = padded_plane_len(g.h, g.w, g.pad, g.stride, g.k);
+    let php = padded_plane_len(g.h, g.w, g.pad, g.stride);
+    let layout = PhaseLayout::new(g.w, g.pad, g.stride);
     let mut staged = vec![0.0f32; g.n * g.c * php];
     for (p, dst) in staged.chunks_mut(php).enumerate() {
-        pad_plane_into(dst, &x[p * hw..(p + 1) * hw], g.h, g.w, g.pad);
+        pad_plane_into(dst, &x[p * hw..(p + 1) * hw], g.h, g.w, g.pad, g.stride);
     }
     for (plane_ix, out_plane) in out.chunks_mut(plane).enumerate() {
         let (ni, oc) = {
@@ -293,12 +294,11 @@ fn run_tiled_conv(
             let oy0 = by as usize * MR;
             let ox0 = sx as usize * NR;
             let tile = Tile {
-                wp: g.w + 2 * g.pad,
+                layout: &layout,
                 oy0,
                 mr: MR.min(g.oh - oy0),
                 ox0,
                 nr: NR.min(g.ow - ox0),
-                stride: g.stride,
             };
             tile_fn(oc, &tile, x_batch, out_plane);
         }
@@ -401,7 +401,7 @@ fn run_pack_arity<const T: usize>(
     out: &mut [f32],
     pack: &Pack,
 ) {
-    let php = padded_plane_len(g.h, g.w, g.pad, g.stride, g.k);
+    let php = padded_plane_len(g.h, g.w, g.pad, g.stride);
     let c = g.c;
     let ow = g.ow;
     run_tiled_conv(x, g, out, |oc, tile, x_batch, out_plane| {

@@ -1172,9 +1172,16 @@ pub(crate) fn channel_affine_into(
     }
 }
 
-/// Max pooling into an arena slice, mirroring
-/// [`rtoss_tensor::ops::maxpool2d`]'s comparison order exactly (padded
-/// cells skipped; an all-padding window writes 0).
+/// Max pooling into an arena slice, bitwise equal to
+/// [`rtoss_tensor::ops::maxpool2d`]: every output cell sees the same
+/// compares in the same row-major `(ky, kx)` order, strict `>` keeping
+/// the first maximum, so ±0.0 ties and NaNs resolve as they do there.
+///
+/// Padding is skipped by range, not by branch: per plane, each in-range
+/// `(ky, kx)` sweeps its valid output rows and columns with a select
+/// that lowers to `maxps`. A cell starts at −∞, and one still at −∞
+/// found nothing (anything found is > −∞), so it writes 0 — the
+/// oracle's all-padding rule.
 fn maxpool2d_into(
     x: &[f32],
     x_shape: &[usize],
@@ -1184,53 +1191,67 @@ fn maxpool2d_into(
     out_shape: &[usize],
     out: &mut [f32],
 ) {
-    let (n, c, h, w) = (x_shape[0], x_shape[1], x_shape[2], x_shape[3]);
+    let (h, w) = (x_shape[2], x_shape[3]);
     let (oh, ow) = (out_shape[2], out_shape[3]);
-    for ni in 0..n {
-        for ci in 0..c {
-            let plane = (ni * c + ci) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = usize::MAX;
-                    for ki in 0..k {
-                        let iy = (oy * stride + ki) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kj in 0..k {
-                            let ix = (ox * stride + kj) as isize - pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let idx = plane + iy as usize * w + ix as usize;
-                            if x[idx] > best {
-                                best = x[idx];
-                                best_idx = idx;
-                            }
+    if h * w == 0 || oh * ow == 0 {
+        return;
+    }
+    // Outputs `o` whose input `o*stride + t - pad` lies in `0..len`.
+    let valid = |t: usize, len: usize, olen: usize| {
+        let lo = pad.saturating_sub(t).div_ceil(stride).min(olen);
+        lo..(len + pad)
+            .saturating_sub(t)
+            .div_ceil(stride)
+            .clamp(lo, olen)
+    };
+    for (plane, out_plane) in x.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow)) {
+        out_plane.fill(f32::NEG_INFINITY);
+        for ky in 0..k {
+            let rows = valid(ky, h, oh);
+            for kx in 0..k {
+                let cols = valid(kx, w, ow);
+                for oy in rows.clone() {
+                    // In range by `rows` / `cols`; `get` only keeps a
+                    // panic edge out of the sweep.
+                    let iy = oy * stride + ky - pad;
+                    let ix = (cols.start * stride + kx).saturating_sub(pad);
+                    let (Some(os), Some(xs)) = (
+                        out_plane.get_mut(oy * ow + cols.start..oy * ow + cols.end),
+                        plane.get(iy * w + ix..(iy + 1) * w),
+                    ) else {
+                        continue;
+                    };
+                    // `chunks` (not `step_by`) keeps the stride-1 sweep
+                    // vectorized.
+                    for (o, chunk) in os.iter_mut().zip(xs.chunks(stride)) {
+                        if let Some(&v) = chunk.first() {
+                            *o = if v > *o { v } else { *o };
                         }
                     }
-                    let oidx = ((ni * c + ci) * oh + oy) * ow + ox;
-                    out[oidx] = if best_idx == usize::MAX { 0.0 } else { best };
                 }
             }
+        }
+        for o in out_plane.iter_mut() {
+            *o = if *o == f32::NEG_INFINITY { 0.0 } else { *o };
         }
     }
 }
 
-/// Nearest-neighbour 2× upsampling into an arena slice, mirroring
-/// [`rtoss_tensor::ops::upsample_nearest2x`].
+/// Nearest-neighbour 2× upsampling into an arena slice, the same copy
+/// as [`rtoss_tensor::ops::upsample_nearest2x`]: source row `r` (over
+/// all planes) becomes output rows `2r` and `2r + 1`, each element
+/// written twice.
 fn upsample_nearest2x_into(x: &[f32], x_shape: &[usize], out: &mut [f32]) {
-    let (n, c, h, w) = (x_shape[0], x_shape[1], x_shape[2], x_shape[3]);
-    let (oh, ow) = (2 * h, 2 * w);
-    for nc in 0..n * c {
-        let src = nc * h * w;
-        let dst = nc * oh * ow;
-        for y in 0..oh {
-            for xx in 0..ow {
-                out[dst + y * ow + xx] = x[src + (y / 2) * w + (xx / 2)];
-            }
+    let w = x_shape[3];
+    if w == 0 {
+        return;
+    }
+    for (src, dst) in x.chunks_exact(w).zip(out.chunks_exact_mut(4 * w)) {
+        let (top, bottom) = dst.split_at_mut(2 * w);
+        for (pair, &v) in top.chunks_exact_mut(2).zip(src) {
+            pair.fill(v);
         }
+        bottom.copy_from_slice(top);
     }
 }
 

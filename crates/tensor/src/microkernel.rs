@@ -12,6 +12,13 @@
 //! per-tap column clip, no per-row bounds test, just a base offset and
 //! `MR` rows of `NR`-wide multiply-adds with compile-time trip counts.
 //!
+//! At stride `s > 1` the staging pass also splits each padded row into
+//! `s` phases (column `x` goes to phase `x % s`, index `x / s`; see
+//! [`PhaseLayout`]), so the columns one tap reads for consecutive
+//! outputs are adjacent floats: **every tap row is one contiguous
+//! `NR`-wide load at every stride**, and one tap body serves them all.
+//! At stride 1 the layout is the plain padded plane.
+//!
 //! That structure is what lets LLVM keep the whole accumulator block
 //! in vector registers across the entire in-channel/tap chain (the
 //! matrixmultiply-style microkernel contract): the block has *no
@@ -45,7 +52,7 @@
 //!
 //! Index math over tile coordinates is strength-reduced with
 //! [`FastDivmod`] (multiply-shift, no hardware divide) in the style of
-//! cubek's im2col `Layout`.
+//! cubek's im2col `Layout`; a tap's phase column is a table load.
 
 use crate::exec::Epilogue;
 
@@ -119,34 +126,119 @@ impl FastDivmod {
     }
 }
 
-/// Length of one zero-padded staging plane for an `h`×`w` input with
-/// `pad` rings of padding, **including the dead-lane slack tail**.
-///
-/// Tiles at the bottom/right plane edges still issue full `MR`×`NR`
-/// accumulations; the lanes past the live output range read from the
-/// slack region (zeros) and are discarded at writeback. The slack is
-/// sized for the worst ragged read: `MR-1` extra rows and `NR-1` extra
-/// columns at the maximum stride-scaled reach, plus the kernel span.
-#[inline]
-pub fn padded_plane_len(h: usize, w: usize, pad: usize, stride: usize, kernel: usize) -> usize {
-    let wp = w + 2 * pad;
-    let hp = h + 2 * pad;
-    hp * wp + (MR - 1) * stride * wp + (NR - 1) * stride + kernel
+/// Row geometry `(wq, pitch)` of a phase-split staging plane for a
+/// `w`-wide input with `pad` columns of padding each side at stride
+/// `s`: each padded row of `wp = w + 2*pad` columns is split into `s`
+/// phase segments of `wq = ceil(wp / s)` floats, so a staged row is
+/// `pitch = s * wq` floats. At stride 1, `pitch == wp`.
+fn phase_row(w: usize, pad: usize, s: usize) -> (usize, usize) {
+    let wq = (w + 2 * pad).div_ceil(s);
+    (wq, s * wq)
 }
 
-/// Copies one `h`×`w` input plane into the zero-padded staging layout
-/// described by [`padded_plane_len`]. `dst` must be zero-filled (or a
-/// reused staging buffer from an identical geometry — the border is
-/// never overwritten, so its zeros persist across reuse).
+/// Where one conv's taps read in its phase-split staging planes (see
+/// [`pad_plane_into`]): padded cell `(y, x)` is staged at
+/// `y*pitch + col(x)` with `col(x) = (x % stride)*wq + x / stride`.
+/// Built once per conv call and shared by every [`Tile`].
+#[derive(Debug)]
+pub struct PhaseLayout {
+    pitch: usize,
+    stride: usize,
+    /// `col(kx)` for every column a `u8` tap can name, so a tap costs a
+    /// table load instead of a divide. (Per tap, a divide — or its
+    /// multiply-shift form — made stride-1 1×1 layers 10–38 % slower.)
+    cols: [usize; 256],
+}
+
+impl PhaseLayout {
+    /// The layout of a `w`-wide input with `pad` columns of padding each
+    /// side at `stride` (clamped to ≥ 1).
+    pub fn new(w: usize, pad: usize, stride: usize) -> Self {
+        let s = stride.max(1);
+        let (wq, pitch) = phase_row(w, pad, s);
+        let mut cols = [0; 256];
+        let (mut phase, mut q) = (0, 0);
+        for col in &mut cols {
+            *col = phase * wq + q;
+            phase += 1;
+            if phase == s {
+                phase = 0;
+                q += 1;
+            }
+        }
+        Self {
+            pitch,
+            stride: s,
+            cols,
+        }
+    }
+}
+
+/// Length of one zero-padded staging plane for an `h`×`w` input with
+/// `pad` rings of padding at `stride`, **including the dead-lane slack
+/// tail**.
+///
+/// Tiles at the bottom/right plane edges still issue full `MR`×`NR`
+/// accumulations; the lanes past the live output range read cells the
+/// writeback discards. Dead rows reach at most `(MR-1)*stride` padded
+/// rows below the last one, and in a row a dead lane reads at most
+/// `NR-1` floats past the row's last cell (every live read stays inside
+/// its row, see [`Tile`]), so the slack is `(MR-1)*stride` rows plus
+/// `NR-1` floats, rounded up to whole `NR` floats so that every plane
+/// of a staged batch starts at the same alignment to the `NR`-wide
+/// loads. (Unrounded, consecutive 1×1 planes shift by one float and
+/// split their loads across cache lines: 10 % slower.)
 #[inline]
-pub fn pad_plane_into(dst: &mut [f32], src: &[f32], h: usize, w: usize, pad: usize) {
-    let wp = w + 2 * pad;
+pub fn padded_plane_len(h: usize, w: usize, pad: usize, stride: usize) -> usize {
+    let s = stride.max(1);
+    let (_, pitch) = phase_row(w, pad, s);
+    ((h + 2 * pad + (MR - 1) * s) * pitch + NR - 1).next_multiple_of(NR)
+}
+
+/// Copies one `h`×`w` input plane into the zero-padded, phase-split
+/// staging layout described by [`padded_plane_len`]: padded cell
+/// `(y, x)` lands at `y*pitch + (x % stride)*wq + x / stride` (see
+/// [`PhaseLayout`]), so at stride 1 the layout is the plain padded
+/// plane.
+/// `dst` must be zero-filled (or a reused staging buffer from an
+/// identical geometry — the border, the phase tails and the slack are
+/// never written, so their zeros persist across reuse).
+#[inline]
+pub fn pad_plane_into(dst: &mut [f32], src: &[f32], h: usize, w: usize, pad: usize, stride: usize) {
+    let s = stride.max(1);
+    let (wq, pitch) = phase_row(w, pad, s);
     for iy in 0..h {
-        let at = (iy + pad) * wp + pad;
-        let (Some(d), Some(s)) = (dst.get_mut(at..at + w), src.get(iy * w..iy * w + w)) else {
+        let at = (iy + pad) * pitch;
+        let (Some(row), Some(src_row)) = (dst.get_mut(at..at + pitch), src.get(iy * w..iy * w + w))
+        else {
             return;
         };
-        d.copy_from_slice(s);
+        if s == 1 {
+            // One phase, contiguous in the source: a plain copy. (The
+            // gather below staged the short rows of 1×1 layers 50–70 %
+            // slower.)
+            if let Some(d) = row.get_mut(pad..pad + w) {
+                d.copy_from_slice(src_row);
+            }
+            continue;
+        }
+        for p in 0..s {
+            // First source column whose padded column `ix + pad` is in
+            // phase `p`; the phase's cells are every `s`-th from there
+            // and land contiguously in the phase's segment (the last at
+            // `(w - 1 + pad) / s <= wq - 1`, inside it).
+            let ix0 = (p + s - pad % s) % s;
+            let (Some(seg), Some(cells)) =
+                (row.get_mut(p * wq + (ix0 + pad) / s..), src_row.get(ix0..))
+            else {
+                continue;
+            };
+            for (d, chunk) in seg.iter_mut().zip(cells.chunks(s)) {
+                if let Some(&v) = chunk.first() {
+                    *d = v;
+                }
+            }
+        }
     }
 }
 
@@ -155,16 +247,24 @@ pub fn pad_plane_into(dst: &mut [f32], src: &[f32], h: usize, w: usize, pad: usi
 /// docs for the no-dynamic-index contract that keeps it so).
 pub type AccTile = [[f32; NR]; MR];
 
-/// Geometry of one `MR`×`NR` output tile over a padded input plane:
-/// which rows/columns of the output plane the accumulator block
-/// covers, plus the padded-plane row stride needed to map a tap to
-/// input coordinates. Padding is baked into the staging layout, so no
-/// `pad` field: output `(oy, ox)` with tap `(ky, kx)` reads padded
-/// element `(oy*stride + ky, ox*stride + kx)` unconditionally.
+/// Geometry of one `MR`×`NR` output tile over a phase-split staging
+/// plane: which rows/columns of the output plane the accumulator block
+/// covers, plus the staged row geometry needed to map a tap to input
+/// coordinates. Padding is baked into the staging layout, so no `pad`
+/// field: output `(oy, ox)` with tap `(ky, kx)` reads padded cell
+/// `(oy*stride + ky, ox*stride + kx)` unconditionally.
+///
+/// That cell sits in phase `kx % stride` at index `ox + kx / stride`
+/// (see [`pad_plane_into`]), so for a fixed tap consecutive `ox` read
+/// consecutive floats at every stride: each tap row is one contiguous
+/// `NR`-wide load. A live lane reads exactly its padded cell, inside
+/// its phase segment: `ox*stride + kx <= wp - 1` gives
+/// `ox + kx / stride <= (wp - 1) / stride <= wq - 1`. Only dead lanes,
+/// which [`writeback`] discards, read past a segment's end.
 #[derive(Debug, Clone, Copy)]
-pub struct Tile {
-    /// Padded input plane row stride (`w + 2*pad`).
-    pub wp: usize,
+pub struct Tile<'a> {
+    /// Where the conv's taps read in its staging planes.
+    pub layout: &'a PhaseLayout,
     /// First output row the tile covers.
     pub oy0: usize,
     /// Live rows (≤ [`MR`]; short at the plane's bottom edge — the
@@ -175,8 +275,6 @@ pub struct Tile {
     pub ox0: usize,
     /// Live lanes per row (≤ [`NR`]; short at the row's right edge).
     pub nr: usize,
-    /// Convolution stride (same in both axes).
-    pub stride: usize,
 }
 
 /// Expands the body once per literal index — source-level unrolling.
@@ -211,39 +309,34 @@ const _: () = assert!(
     "unroll_mr/unroll_nr match the tile consts"
 );
 
-impl Tile {
-    /// Adds `val * xp[oy*stride + ky][ox*stride + kx]` into every
-    /// accumulator lane — all `MR`×`NR` of them, unconditionally; dead
-    /// lanes read staged zeros. `xp` must be the padded plane slice
-    /// from the tile's in-channel origin through the slack tail.
+impl Tile<'_> {
+    /// Adds `val * padded[oy*stride + ky][ox*stride + kx]` into every
+    /// accumulator lane — all `MR`×`NR` of them, unconditionally, as
+    /// `MR` contiguous `NR`-wide row loads `stride * pitch` apart. `xp`
+    /// must be the staged plane slice from the tile's in-channel origin
+    /// through the slack tail.
     #[inline(always)]
-    fn accum_tap(&self, acc: &mut AccTile, xp: &[f32], ky: usize, kx: usize, val: f32) {
-        let base = (self.oy0 * self.stride + ky) * self.wp + self.ox0 * self.stride + kx;
-        if self.stride == 1 {
-            unroll_mr!(r {
-                let off = base + r * self.wp;
-                // Slack sizing makes this infallible; `if let` (not an
-                // early return) keeps the failure edge from extending
-                // the accumulator's live range into a cold path.
-                if let Some(xs) = xp.get(off..off + NR) {
-                    // Infallible after the `get` above; the recovery form
-                    // only keeps a panic edge out of the hot loop (RV030).
-                    let xs: &[f32; NR] = xs.try_into().unwrap_or(&[0.0; NR]);
-                    unroll_nr!(j {
-                        acc[r][j] += val * xs[j];
-                    });
-                }
-            });
-        } else {
-            unroll_mr!(r {
-                let off = base + r * self.stride * self.wp;
-                if let Some(row) = xp.get(off..off + (NR - 1) * self.stride + 1) {
-                    unroll_nr!(j {
-                        acc[r][j] += val * row[j * self.stride];
-                    });
-                }
-            });
-        }
+    fn accum_tap(&self, acc: &mut AccTile, xp: &[f32], (ky, kx): (u8, u8), val: f32) {
+        let PhaseLayout {
+            pitch,
+            stride,
+            ref cols,
+        } = *self.layout;
+        let base = (self.oy0 * stride + usize::from(ky)) * pitch + cols[usize::from(kx)] + self.ox0;
+        unroll_mr!(r {
+            let off = base + r * stride * pitch;
+            // Slack sizing makes this infallible; `if let` (not an
+            // early return) keeps the failure edge from extending
+            // the accumulator's live range into a cold path.
+            if let Some(xs) = xp.get(off..off + NR) {
+                // Infallible after the `get` above; the recovery form
+                // only keeps a panic edge out of the hot loop (RV030).
+                let xs: &[f32; NR] = xs.try_into().unwrap_or(&[0.0; NR]);
+                unroll_nr!(j {
+                    acc[r][j] += val * xs[j];
+                });
+            }
+        });
     }
 }
 
@@ -263,7 +356,7 @@ pub fn accum_taps<const T: usize>(
         return;
     }
     for t in 0..T {
-        tile.accum_tap(acc, xp, taps[t].0 as usize, taps[t].1 as usize, vals[t]);
+        tile.accum_tap(acc, xp, taps[t], vals[t]);
     }
 }
 
@@ -272,8 +365,8 @@ pub fn accum_taps<const T: usize>(
 /// without the unroll.
 #[inline(always)]
 fn accum_taps_dyn(acc: &mut AccTile, xp: &[f32], tile: &Tile, taps: &[(u8, u8)], vals: &[f32]) {
-    for (t, &(ky, kx)) in taps.iter().enumerate() {
-        tile.accum_tap(acc, xp, ky as usize, kx as usize, vals[t]);
+    for (&tap, &val) in taps.iter().zip(vals) {
+        tile.accum_tap(acc, xp, tap, val);
     }
 }
 
@@ -380,25 +473,42 @@ mod tests {
 
     #[test]
     fn padded_plane_round_trips_and_borders_zero() {
-        let (h, w, pad, stride, k) = (5usize, 7usize, 2usize, 1usize, 3usize);
-        let src: Vec<f32> = (0..h * w).map(|i| i as f32 + 1.0).collect();
-        let mut dst = vec![0.0f32; padded_plane_len(h, w, pad, stride, k)];
-        pad_plane_into(&mut dst, &src, h, w, pad);
-        let wp = w + 2 * pad;
-        let hp = h + 2 * pad;
-        for iy in 0..hp {
-            for ix in 0..wp {
-                let inside = iy >= pad && iy < pad + h && ix >= pad && ix < pad + w;
-                let want = if inside {
-                    src[(iy - pad) * w + (ix - pad)]
-                } else {
-                    0.0
-                };
-                assert_eq!(dst[iy * wp + ix], want, "iy={iy} ix={ix}");
+        // Strides 1-3 over even and odd padded widths (wp = 11, 8, 5),
+        // one input narrower than its stride.
+        for &(h, w, pad, stride) in &[
+            (5usize, 7usize, 2usize, 1usize),
+            (5, 7, 2, 2),
+            (6, 9, 1, 2),
+            (4, 6, 1, 3),
+            (3, 5, 0, 3),
+            (2, 1, 2, 3),
+        ] {
+            let src: Vec<f32> = (0..h * w).map(|i| i as f32 + 1.0).collect();
+            let len = padded_plane_len(h, w, pad, stride);
+            let mut dst = vec![0.0f32; len];
+            pad_plane_into(&mut dst, &src, h, w, pad, stride);
+            let (wp, hp) = (w + 2 * pad, h + 2 * pad);
+            let wq = wp.div_ceil(stride);
+            let pitch = stride * wq;
+            assert!(
+                len >= (hp + (MR - 1) * stride) * pitch + NR - 1,
+                "slack for dead rows and lanes"
+            );
+            assert_eq!(len % NR, 0, "planes keep one load alignment");
+            // Padded cell (y, x) sits at its phase position; everything
+            // else (border, phase tails, slack) stays zero.
+            let mut want = vec![0.0f32; len];
+            for iy in 0..h {
+                for ix in 0..w {
+                    let (y, x) = (iy + pad, ix + pad);
+                    want[y * pitch + (x % stride) * wq + x / stride] = src[iy * w + ix];
+                }
+            }
+            assert_eq!(dst, want, "h{h}w{w}p{pad}s{stride}");
+            if stride == 1 {
+                assert_eq!(pitch, wp, "stride 1 stages the plain padded plane");
             }
         }
-        // Slack tail untouched.
-        assert!(dst[hp * wp..].iter().all(|&v| v == 0.0));
     }
 
     /// Scalar reference: one output element at a time, taps in order,
@@ -447,15 +557,21 @@ mod tests {
             (5, 17, 1, 0, 3),
             (4, 33, 2, 0, 1),
             (19, 40, 1, 1, 3),
+            // Odd padded widths and stride 3, plus the 6×6 stride-2 stem.
+            (7, 11, 3, 1, 3),
+            (9, 13, 3, 2, 3),
+            (8, 15, 2, 1, 3),
+            (10, 13, 2, 2, 6),
         ] {
             let w_out = (w_in + 2 * pad - k) / stride + 1;
             let h_out = (h_in + 2 * pad - k) / stride + 1;
             let x: Vec<f32> = (0..h_in * w_in)
                 .map(|_| (next() % 2000) as f32 / 100.0 - 10.0)
                 .collect();
-            let mut xp = vec![0.0f32; padded_plane_len(h_in, w_in, pad, stride, k)];
-            pad_plane_into(&mut xp, &x, h_in, w_in, pad);
-            // All tap subsets of the k×k window, up to 9 taps.
+            let mut xp = vec![0.0f32; padded_plane_len(h_in, w_in, pad, stride)];
+            pad_plane_into(&mut xp, &x, h_in, w_in, pad, stride);
+            let layout = PhaseLayout::new(w_in, pad, stride);
+            // Every prefix of the k×k window's taps, in row-major order.
             let all: Vec<(u8, u8)> = (0..k as u8)
                 .flat_map(|ky| (0..k as u8).map(move |kx| (ky, kx)))
                 .collect();
@@ -479,12 +595,11 @@ mod tests {
                         let nr = NR.min(w_out - ox0);
                         let mut acc = [[bias; NR]; MR];
                         let tile = Tile {
-                            wp: w_in + 2 * pad,
+                            layout: &layout,
                             oy0,
                             mr,
                             ox0,
                             nr,
-                            stride,
                         };
                         accum_kernel(&mut acc, &xp, &tile, &taps, &vals);
                         writeback(
