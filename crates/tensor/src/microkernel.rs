@@ -330,7 +330,8 @@ impl Tile<'_> {
             // the accumulator's live range into a cold path.
             if let Some(xs) = xp.get(off..off + NR) {
                 // Infallible after the `get` above; the recovery form
-                // only keeps a panic edge out of the hot loop (RV030).
+                // only keeps a panic edge out of the hot loop (the crate
+                // denies `clippy::unwrap_used`).
                 let xs: &[f32; NR] = xs.try_into().unwrap_or(&[0.0; NR]);
                 unroll_nr!(j {
                     acc[r][j] += val * xs[j];

@@ -1,9 +1,10 @@
-//! Hot-path source lint (RV030/RV031) over `crates/serve/src` and
-//! `crates/sparse/src`, wired into CI.
+//! Hot-path source lint (RV071–RV073) over the four
+//! [`rtoss_verify::lint::HOT_PATH_ROOTS`].
 //!
-//! Exits non-zero if any panic-capable call or undocumented `unsafe`
-//! survives in non-test hot-path code. Run from anywhere inside the
-//! workspace; the repo root is located relative to this crate.
+//! Exits non-zero if any lock-order cycle, Relaxed publication or
+//! guard held across a pool hand-off survives in non-test hot-path
+//! code. Run from anywhere inside the workspace; the repo root is
+//! located relative to this crate.
 
 use std::path::Path;
 use std::process::ExitCode;

@@ -1,39 +1,17 @@
 //! Diagnostic types shared by every rtoss-verify pass.
 //!
-//! A pass reports problems as [`Diagnostic`]s — a severity, a stable
-//! `RV0xx` code (see DESIGN.md §9 for the registry), the location of
-//! the offending artifact, and a human-readable message. Passes never
-//! panic on malformed input; they collect everything they find into a
-//! [`Report`] so one run surfaces *all* violations, not just the first.
+//! A pass reports problems as [`Diagnostic`]s — a stable `RV0xx` code
+//! (see DESIGN.md §9 for the registry), the location of the offending
+//! artifact, and a human-readable message. Passes never panic on
+//! malformed input; they collect everything they find into a [`Report`]
+//! so one run surfaces *all* violations, not just the first.
 
 use std::fmt;
 
-/// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Informational note; never affects the exit code.
-    Info,
-    /// Suspicious but not provably wrong; never affects the exit code.
-    Warning,
-    /// An invariant violation. The artifact must not be executed.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Info => write!(f, "info"),
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
-
-/// One finding from a verification pass.
+/// One finding from a verification pass. Every finding is an
+/// invariant violation: an artifact with one must not be executed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Finding severity.
-    pub severity: Severity,
     /// Stable registry code, e.g. `"RV002"`.
     pub code: &'static str,
     /// Where the violation lives — a node name, layer index, file:line,
@@ -44,28 +22,13 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// Builds an error-severity diagnostic.
+    /// Builds a diagnostic.
     pub fn error(
         code: &'static str,
         location: impl Into<String>,
         message: impl Into<String>,
     ) -> Self {
         Diagnostic {
-            severity: Severity::Error,
-            code,
-            location: location.into(),
-            message: message.into(),
-        }
-    }
-
-    /// Builds a warning-severity diagnostic.
-    pub fn warning(
-        code: &'static str,
-        location: impl Into<String>,
-        message: impl Into<String>,
-    ) -> Self {
-        Diagnostic {
-            severity: Severity::Warning,
             code,
             location: location.into(),
             message: message.into(),
@@ -77,8 +40,8 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}[{}] {}: {}",
-            self.severity, self.code, self.location, self.message
+            "error[{}] {}: {}",
+            self.code, self.location, self.message
         )
     }
 }
@@ -106,19 +69,14 @@ impl Report {
         self.diagnostics.extend(ds);
     }
 
-    /// Whether any finding is an [`Severity::Error`].
+    /// Whether any finding is present.
     pub fn has_errors(&self) -> bool {
-        self.diagnostics
-            .iter()
-            .any(|d| d.severity == Severity::Error)
+        !self.diagnostics.is_empty()
     }
 
-    /// Number of error-severity findings.
+    /// Number of findings.
     pub fn error_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count()
+        self.diagnostics.len()
     }
 
     /// Whether a finding with the given registry code is present.
@@ -128,7 +86,8 @@ impl Report {
 
     /// Renders the report as a machine-readable JSON document with a
     /// stable schema: `{"errors", "warnings", "findings": [{"severity",
-    /// "code", "location", "message"}, …]}`. Findings keep pass order.
+    /// "code", "location", "message"}, …]}`. Findings keep pass order;
+    /// every finding's severity is `"error"`, so `warnings` is always 0.
     /// CI consumes this via `verify --json`.
     pub fn to_json(&self) -> String {
         use serde_json::Value;
@@ -137,7 +96,7 @@ impl Report {
                 .iter()
                 .map(|d| {
                     Value::Obj(vec![
-                        ("severity".to_string(), Value::Str(d.severity.to_string())),
+                        ("severity".to_string(), Value::Str("error".to_string())),
                         ("code".to_string(), Value::Str(d.code.to_string())),
                         ("location".to_string(), Value::Str(d.location.clone())),
                         ("message".to_string(), Value::Str(d.message.clone())),
@@ -145,14 +104,9 @@ impl Report {
                 })
                 .collect(),
         );
-        let warnings = self
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
-            .count();
         let doc = Value::Obj(vec![
             ("errors".to_string(), Value::UInt(self.error_count() as u64)),
-            ("warnings".to_string(), Value::UInt(warnings as u64)),
+            ("warnings".to_string(), Value::UInt(0)),
             ("findings".to_string(), findings),
         ]);
         serde_json::to_string_pretty(&doc).expect("report JSON serializes")
@@ -166,18 +120,7 @@ impl Report {
             out.push_str(&d.to_string());
             out.push('\n');
         }
-        let errors = self.error_count();
-        let warnings = self
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
-            .count();
-        out.push_str(&format!(
-            "verify: {} error(s), {} warning(s), {} finding(s) total\n",
-            errors,
-            warnings,
-            self.diagnostics.len()
-        ));
+        out.push_str(&format!("verify: {} error(s)\n", self.error_count()));
         out
     }
 }
@@ -190,8 +133,6 @@ mod tests {
     fn report_tracks_errors_and_codes() {
         let mut r = Report::new();
         assert!(!r.has_errors());
-        r.push(Diagnostic::warning("RV999", "here", "odd"));
-        assert!(!r.has_errors());
         r.push(Diagnostic::error("RV001", "layer 3", "bad entry count"));
         assert!(r.has_errors());
         assert_eq!(r.error_count(), 1);
@@ -199,27 +140,24 @@ mod tests {
         assert!(!r.has_code("RV002"));
         let text = r.render();
         assert!(text.contains("error[RV001] layer 3: bad entry count"));
-        assert!(text.contains("1 error(s), 1 warning(s)"));
+        assert!(text.ends_with("verify: 1 error(s)\n"));
     }
 
     #[test]
     fn json_schema_is_stable_and_round_trips() {
         let mut r = Report::new();
-        r.push(Diagnostic::warning("RV999", "here", "odd"));
+        r.push(Diagnostic::error("RV999", "here", "odd"));
         r.push(Diagnostic::error("RV001", "layer 3", "bad \"entry\" count"));
         let doc: serde_json::Value =
             serde_json::from_str(&r.to_json()).expect("to_json emits valid JSON");
         // The stand-in parser reads small integers back as `Int`.
-        assert_eq!(doc.field("errors").unwrap(), &serde_json::Value::Int(1));
-        assert_eq!(doc.field("warnings").unwrap(), &serde_json::Value::Int(1));
+        assert_eq!(doc.field("errors").unwrap(), &serde_json::Value::Int(2));
+        assert_eq!(doc.field("warnings").unwrap(), &serde_json::Value::Int(0));
         let findings = doc.field("findings").expect("findings present");
         let first = findings.element(0).expect("two findings");
         let second = findings.element(1).expect("two findings");
         assert!(findings.element(2).is_err());
-        assert_eq!(
-            first.field("severity").unwrap().as_str().unwrap(),
-            "warning"
-        );
+        assert_eq!(first.field("severity").unwrap().as_str().unwrap(), "error");
         assert_eq!(second.field("code").unwrap().as_str().unwrap(), "RV001");
         assert_eq!(
             second.field("location").unwrap().as_str().unwrap(),

@@ -7,9 +7,10 @@
 //! happens, which is how CI proves the checks can actually fail.
 
 use crate::diag::Report;
-use crate::exec::{check_histogram_mapping, check_level_deal};
+use crate::exec::check_histogram_mapping;
 use crate::lint::lint_source;
 use crate::model::{check_model, chunk_bits};
+use crate::plan::{check_level_deal, check_plan};
 use crate::sparse::check_pattern_layer;
 use crate::trace::{check_prometheus, check_trace};
 use rtoss_core::dfs::group_layers;
@@ -36,7 +37,6 @@ pub const FIXTURES: &[Fixture] = &[
     ("format", format_fixture, "RV010"),
     ("tiles", tiles_fixture, "RV020"),
     ("histogram", histogram_fixture, "RV021"),
-    ("lint", lint_fixture, "RV030"),
     ("trace-nesting", trace_nesting_fixture, "RV040"),
     ("trace-order", trace_order_fixture, "RV041"),
     ("trace-orphan", trace_orphan_fixture, "RV042"),
@@ -242,14 +242,6 @@ pub fn histogram_fixture() -> Report {
     report
 }
 
-/// Source lint: a hot-path snippet that unwraps a queue pop (RV030).
-pub fn lint_fixture() -> Report {
-    let src = "pub fn drain(q: &Queue) -> Request {\n    q.pop().unwrap()\n}\n";
-    let mut report = Report::new();
-    report.extend(lint_source("fixtures/hot_path.rs", src));
-    report
-}
-
 /// Builds a span event for the trace fixtures.
 fn fixture_span(name: &'static str, tid: u64, ts_ns: u64, dur_ns: u64) -> rtoss_obs::TraceEvent {
     rtoss_obs::TraceEvent {
@@ -354,8 +346,9 @@ pub fn plan_schedule_fixture() -> Report {
     let last = summary.steps.len() - 1;
     summary.steps[0].inputs = vec![Some(last)];
     let mut report = Report::new();
-    report.extend(crate::plan::check_plan_schedule(
+    report.extend(check_plan(
         "fixture plan (forward operand)",
+        &engine,
         &summary,
     ));
     report
@@ -371,8 +364,9 @@ pub fn plan_arena_fixture() -> Report {
         .expect("plan compiles for the fixture engine");
     summary.steps[1].out_slot = summary.steps[0].out_slot;
     let mut report = Report::new();
-    report.extend(crate::plan::check_plan_arena(
+    report.extend(check_plan(
         "fixture plan (overlapping slot lifetimes)",
+        &engine,
         &summary,
     ));
     report
@@ -416,8 +410,9 @@ pub fn plan_level_dep_fixture() -> Report {
         .expect("fixture engine has step-to-step deps");
     summary.steps[i].level = summary.steps[j].level;
     let mut report = Report::new();
-    report.extend(crate::plan::check_plan_levels(
+    report.extend(check_plan(
         "fixture plan (dep-violating level)",
+        &engine,
         &summary,
     ));
     report
@@ -428,7 +423,8 @@ pub fn plan_level_dep_fixture() -> Report {
 /// index rule is satisfied — `a`'s last use (step 1) precedes `c`
 /// (step 2) — but `c` sits in level 0 while `b` consumes `a` in level
 /// 1, so a parallel run could overwrite `a` mid-read. Exactly the
-/// aliasing only the level rule can see (RV054).
+/// aliasing only the level rule can see: RV054, with no RV051 "lifetimes
+/// overlap" finding.
 pub fn plan_level_alias_fixture() -> Report {
     let mut g = Graph::new();
     let x = g.add_input("x");
@@ -447,16 +443,10 @@ pub fn plan_level_alias_fixture() -> Report {
         .plan_summary(&[1, 3, 8, 8])
         .expect("plan compiles for the fixture engine");
     summary.steps[2].out_slot = summary.steps[0].out_slot;
-    // The serial arena rule does not object to this rewrite: a's last
-    // use (index 1) is strictly before c (index 2).
-    let serial_overlaps = crate::plan::check_plan_arena("fixture plan", &summary)
-        .iter()
-        .filter(|d| d.message.contains("lifetimes overlap"))
-        .count();
-    debug_assert_eq!(serial_overlaps, 0, "RV051 index rule should accept this");
     let mut report = Report::new();
-    report.extend(crate::plan::check_plan_levels(
+    report.extend(check_plan(
         "fixture plan (concurrently-live slot alias)",
+        &engine,
         &summary,
     ));
     report
@@ -464,7 +454,7 @@ pub fn plan_level_alias_fixture() -> Report {
 
 /// Dropped dependency edge: in `x → a → b`, step `b`'s operand edge to
 /// `a` is erased and `b` relevelled to 0. The corrupted summary is
-/// *self-consistent* — every RV05x rule still holds, because RV054's
+/// *self-consistent* — RV050 and RV054 stay silent, because RV054's
 /// window rule can only constrain edges that are still present — but
 /// the model says the edge must exist, so the happens-before edge
 /// reconstruction notices the read that lost its ordering (RV070).
@@ -479,35 +469,25 @@ pub fn plan_hb_fixture() -> Report {
         .expect("valid node");
     g.set_outputs(vec![b]).expect("valid output");
     let engine = rtoss_sparse::SparseModel::compile(&g).expect("engine compiles");
-    let deps = crate::concurrency::ModelDeps::of(&engine);
     let mut summary = engine
         .plan_summary(&[1, 3, 8, 8])
         .expect("plan compiles for the fixture engine");
     summary.steps[1].inputs = vec![None];
     summary.steps[1].level = 0;
-    // The RV05x family is blind to a dropped edge: the summary is
-    // still topological, the slots are still disjoint, and the level
-    // rule has no edge left to check.
-    debug_assert!(
-        crate::plan::check_plan_schedule("fixture plan", &summary).is_empty()
-            && crate::plan::check_plan_levels("fixture plan", &summary).is_empty(),
-        "RV05x should accept the self-consistent corruption"
-    );
     let mut report = Report::new();
-    report.extend(crate::concurrency::check_plan_hb(
+    report.extend(check_plan(
         "fixture plan (dropped dependency edge)",
-        &deps,
+        &engine,
         &summary,
-        &[2],
     ));
     report
 }
 
 /// Cross-lane slot collision: two steps of one dependency level — the
 /// exact pair `run_with_pool` fans into concurrent caller/worker lanes
-/// at width 2 — are rewired to write the same arena slot. The pairwise
-/// happens-before pass reports the unordered write/write conflict and
-/// the shadow replay reports the first unordered write (RV070).
+/// at width 2 and up — are rewired to write the same arena slot. The
+/// shadow replay reports the unordered write at every such width
+/// (RV070).
 pub fn pool_order_fixture() -> Report {
     let mut g = Graph::new();
     let x = g.add_input("x");
@@ -525,7 +505,6 @@ pub fn pool_order_fixture() -> Report {
         .expect("valid node");
     g.set_outputs(vec![b, c]).expect("valid outputs");
     let engine = rtoss_sparse::SparseModel::compile(&g).expect("engine compiles");
-    let deps = crate::concurrency::ModelDeps::of(&engine);
     let mut summary = engine
         .plan_summary(&[1, 3, 8, 8])
         .expect("plan compiles for the fixture engine");
@@ -536,15 +515,12 @@ pub fn pool_order_fixture() -> Report {
         .expect("fixture engine has a parallel level");
     let (p, q) = (level[0], level[1]);
     summary.steps[q].out_slot = summary.steps[p].out_slot;
-    let loc = "fixture plan (cross-lane slot collision)";
     let mut report = Report::new();
-    report.extend(crate::concurrency::check_plan_hb(
-        loc,
-        &deps,
+    report.extend(check_plan(
+        "fixture plan (cross-lane slot collision)",
+        &engine,
         &summary,
-        &[2],
     ));
-    report.extend(crate::concurrency::shadow_replay(loc, &summary, 2));
     report
 }
 
@@ -852,22 +828,4 @@ pub fn kernel_equiv_fixture() -> Report {
         &[1, 4, 10, 10],
     ));
     report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_fixture_triggers_its_registry_code() {
-        for &(name, run, code) in FIXTURES {
-            let report = run();
-            assert!(
-                report.has_code(code),
-                "fixture {name} did not trigger {code}:\n{}",
-                report.render()
-            );
-            assert!(report.has_errors(), "fixture {name} produced no errors");
-        }
-    }
 }

@@ -5,11 +5,14 @@
 //! passes here check that it actually satisfies the invariants the
 //! paper's algorithms promise — pattern legality (Algorithm 2), group
 //! consistency (Algorithm 1), 1×1 round-trip residue (Algorithm 3),
-//! sparse-format well-formedness, level-deal soundness, and
-//! histogram bucket geometry — and a source lint keeps panic-capable
-//! calls out of the serving/execution hot paths.
+//! sparse-format well-formedness, compiled-plan soundness and race
+//! freedom, and histogram bucket geometry — and a source lint keeps the
+//! hot paths' locking discipline deadlock-free.
 //!
-//! Run the full pass over the seed models:
+//! [`check_seed_artifacts`] runs every artifact check over the seed
+//! models and fleet configurations and [`lint_paths`] lints the hot-path
+//! sources; the `verify` and `lint` bins run them, and so do tier-1
+//! tests:
 //!
 //! ```text
 //! cargo run -p rtoss-verify --bin verify
@@ -33,10 +36,8 @@
 //! | RV012 | sparse | no explicit zeros stored |
 //! | RV013 | sparse | COO entries sorted, in-bounds, non-zero |
 //! | RV014 | sparse | every stored weight survives dense reconstruction |
-//! | RV020 | exec   | the plan's level deal partitions every level's steps at every width |
+//! | RV020 | plan   | the plan's level deal partitions every level's steps at widths 1..=8 |
 //! | RV021 | exec   | histogram boundaries strictly increasing, half-open |
-//! | RV030 | lint   | no panic-capable call in a hot path |
-//! | RV031 | lint   | every `unsafe` carries a `// SAFETY:` comment |
 //! | RV040 | trace  | sync spans properly nested per thread; trace JSON well-formed |
 //! | RV041 | trace  | per-thread events ordered by non-decreasing end timestamp |
 //! | RV042 | trace  | every `execute` span contains ≥ 1 `layer:*` child span |
@@ -46,7 +47,7 @@
 //! | RV051 | plan   | arena slot lifetimes disjoint; capacities cover tenants; byte accounting consistent |
 //! | RV052 | plan   | planned (fused, arena) forward bit-identical to the interpreter, serial and level-parallel |
 //! | RV054 | plan   | levelled schedule respects data deps; arena slots disjoint across concurrently-live steps |
-//! | RV070 | conc   | happens-before race freedom: operand edges match the model's data deps, and every conflicting arena-slot access pair is HB-ordered across the executed caller/worker lanes (pairwise + shadow replay) |
+//! | RV070 | conc   | happens-before race freedom: operand edges match the model's data deps, and a shadow replay of the runner's lanes at widths 1..=8 finds no unordered conflicting arena-slot access and no stale read |
 //! | RV071 | conc   | lock acquisition order consistent across all sites of a crate (no cycle in the lock-order graph) |
 //! | RV072 | conc   | no `Ordering::Relaxed` on publishing atomic writes (`store`/`swap`/`compare_exchange*`); counters waivable via `// ORDERING:` |
 //! | RV073 | conc   | no lock guard held across `pool.submit(…)` / `pool.help()` / `batch.wait()` |
@@ -61,15 +62,17 @@
 //! | RV090 | kernel | the `Pack` (pattern view and COO view) reconstructs the graph's masked conv weight it was compiled from, bitwise |
 //! | RV092 | kernel | pattern pack and COO pack through the tiled driver bit-identical to the scalar reference |
 //!
-//! Severity is always `Error` for registry violations; artifacts with
-//! errors must not be executed. See DESIGN.md §9.
+//! RV020, RV050, RV051, RV054 and RV070 come from one walk,
+//! [`check_plan`]. Every finding is an error: an artifact with one must
+//! not be executed. Panic-capable calls in the hot-path crates (once
+//! RV030) are denied by clippy in their `lib.rs`; `unsafe` (once RV031)
+//! is forbidden in every first-party crate. See DESIGN.md §9.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod diag;
 
-pub mod concurrency;
 pub mod exec;
 pub mod fixtures;
 pub mod fleet;
@@ -78,21 +81,19 @@ pub mod lexer;
 pub mod lint;
 pub mod model;
 pub mod plan;
+mod seed;
 pub mod sparse;
 pub mod telemetry;
 pub mod trace;
 
-pub use concurrency::{check_plan_hb, shadow_replay, ModelDeps};
-pub use diag::{Diagnostic, Report, Severity};
-pub use exec::{check_histogram_buckets, check_level_deal, check_level_deals};
+pub use diag::{Diagnostic, Report};
+pub use exec::check_histogram_buckets;
 pub use fleet::{check_fleet_ledger, check_fleet_replicas, check_hash_ring, check_tier_controller};
 pub use kernels::{check_model_kernels, check_pack, check_packs_match_scalar};
 pub use lint::{lint_paths, lint_source};
 pub use model::check_model;
-pub use plan::{
-    check_execution_plan, check_outputs_bit_identical, check_plan_arena, check_plan_levels,
-    check_plan_schedule,
-};
+pub use plan::{check_execution_plan, check_outputs_bit_identical, check_plan};
+pub use seed::check_seed_artifacts;
 pub use sparse::{check_pattern_layer, check_sparse_model, check_unstructured_layer};
 pub use telemetry::{
     check_alert_log, check_flight_dump, check_telemetry_conservation, check_telemetry_windows,

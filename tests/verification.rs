@@ -16,7 +16,7 @@ use rtoss::models::{retinanet_twin, yolov5s_twin, DetectorModel};
 use rtoss::sparse::{PatternCompressedConv, SparseModel, UnstructuredSparseConv};
 use rtoss::tensor::Tensor;
 use rtoss::verify::{
-    check_execution_plan, check_level_deals, check_model, check_pattern_layer, check_sparse_model,
+    check_execution_plan, check_model, check_pattern_layer, check_plan, check_sparse_model,
     check_unstructured_layer, fixtures,
 };
 
@@ -73,6 +73,25 @@ fn seed_retinanet_configs_verify_clean() {
     }
 }
 
+/// The seed pass `verify` runs by default: the YOLOv5s twin pruned at
+/// 2/3/4EP and the RetinaNet twin at 2/3EP through every model, sparse,
+/// plan and kernel check, plus the histogram, ring, controller and
+/// micro-fleet checks (RV001–RV092 less the trace and telemetry
+/// families, which have their own tests).
+#[test]
+fn seed_artifacts_verify_clean() {
+    let report = rtoss::verify::check_seed_artifacts().expect("seed artifacts build");
+    assert!(report.diagnostics.is_empty(), "{}", report.render());
+}
+
+/// RV071–RV073 over the real hot-path sources.
+#[test]
+fn hot_path_sources_pass_the_lint() {
+    let ds = rtoss::verify::lint_paths(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("hot-path sources read");
+    assert!(ds.is_empty(), "hot-path lint findings: {ds:?}");
+}
+
 /// RV020, RV050–RV054 and RV070 on live engines: the compiled plan's
 /// schedule, arena, levels and level deal are sound, and its output is
 /// bit-identical to the interpreter oracle at widths 1, 2 and 4 and on
@@ -103,9 +122,9 @@ fn planned_forward_matches_the_interpreter_oracle() {
     }
 }
 
-/// RV020 on the seed twins' plans: the level deal the runner executes
-/// partitions every level at widths 1..=8; RV021 on the serving
-/// histogram.
+/// The one plan walk on the seed twins' plans: RV020 (the level deal
+/// the runner executes partitions every level at widths 1..=8), RV050,
+/// RV051, RV054 and RV070; RV021 on the serving histogram.
 #[test]
 fn executor_invariants_hold() {
     for (label, m) in [
@@ -121,7 +140,7 @@ fn executor_invariants_hold() {
             .iter()
             .any(|d| !d.pooled.is_empty());
         assert!(fans_out, "{label}: no level wide enough to fan out");
-        let diags = check_level_deals(label, &summary, 8);
+        let diags = check_plan(label, &engine, &summary);
         assert!(diags.is_empty(), "{label}: {diags:?}");
     }
     let report = rtoss::verify::check_histogram_buckets();
@@ -138,6 +157,23 @@ fn every_corruption_fixture_fires_its_code() {
             report.render()
         );
     }
+    // The plan walk reports every rule at once; these corruptions must
+    // stay invisible to the neighbouring rule that cannot see them.
+    let alias = fixtures::plan_level_alias_fixture();
+    assert!(
+        !alias
+            .diagnostics
+            .iter()
+            .any(|d| d.code == "RV051" && d.message.contains("lifetimes overlap")),
+        "plan-level-alias passes RV051's serial index rule:\n{}",
+        alias.render()
+    );
+    let hb = fixtures::plan_hb_fixture();
+    assert!(
+        !hb.has_code("RV050") && !hb.has_code("RV054"),
+        "plan-hb is a self-consistent dropped edge:\n{}",
+        hb.render()
+    );
 }
 
 // ---------------------------------------------------------------------
