@@ -7,10 +7,11 @@
 //! - [`conv2d_packed_into`]: the register-tiled driver. Per [`NR`]-wide
 //!   output-row segment a stack accumulator tile takes every packed
 //!   kernel's taps through the [`rtoss_tensor::microkernel`] bodies,
-//!   then writes back once with the fused epilogue. Work ∝ surviving
-//!   weights. A pack whose entries all store the same tap count (every
-//!   legal R-TOSS layer; 9 for an unpruned 3×3 layer, 1 for a 1×1
-//!   layer) runs one arity-monomorphized body with no per-kernel
+//!   then the fused epilogue once over the tile's live lanes, and
+//!   writes them back. Work ∝ surviving weights. A pack whose entries
+//!   all store the same tap count (every legal R-TOSS layer; 9 for an
+//!   unpruned 3×3 layer, 1 for a 1×1 layer) runs one
+//!   arity-monomorphized body with no per-kernel
 //!   dispatch; a mixed-arity pack (COO storage of irregular weights,
 //!   corruption fixtures) dispatches per kernel inside the same walk.
 //!   Measured against an arity-generic per-run loop, the hoisted body
@@ -254,8 +255,9 @@ fn conv_entry(x: &Tensor, pack: &Pack, bias: Option<&[f32]>) -> Result<Tensor, T
 /// block, runs the pack's canonical tap chain over it, and writes
 /// back with the fused epilogue. That ownership is deliberate — the
 /// block must live and die inside one function frame whose callees
-/// are all `#[inline(always)]`, so its address never crosses a real
-/// call boundary and LLVM can promote it to vector registers (see the
+/// are all `#[inline(always)]` (the epilogue, the one real call, sees
+/// only a packed copy), so its address never crosses a real call
+/// boundary and LLVM can promote it to vector registers (see the
 /// microkernel module docs). Passing `&mut` accumulators *into* a
 /// closure parameter defeats that: the closure is big enough that the
 /// inliner may keep the call, and an escaped alloca is stack-bound.
@@ -351,8 +353,9 @@ pub fn conv2d_unstructured_with(
 /// allocation on the hot path); the result is written into `out`, which
 /// must hold exactly `n * out_channels * oh * ow` elements. Every
 /// element of `out` is overwritten (bias or zero fill first), so a
-/// reused arena buffer needs no clearing. The epilogue runs per output
-/// segment at tile writeback, hot in registers.
+/// reused arena buffer needs no clearing. The epilogue runs once per
+/// finished tile at writeback, over the tile's packed live lanes,
+/// before they are copied out.
 ///
 /// Returns the output shape `[n, out_channels, oh, ow]`.
 ///

@@ -461,8 +461,9 @@ impl SparseModel {
                     Tensor::from_vec(out, &shapes[i])?
                 }
                 SparseOp::Activation(kind) => {
-                    let k = *kind;
-                    get(node.inputs[0])?.map(move |v| eval_act(k, v))
+                    let mut out = get(node.inputs[0])?.clone();
+                    activation(*kind).apply(0, out.as_mut_slice());
+                    out
                 }
                 SparseOp::MaxPool { k, stride, pad } => {
                     ops::maxpool2d(get(node.inputs[0])?, *k, *stride, *pad)?.output
@@ -588,12 +589,15 @@ fn pool_params_of(l: &dyn rtoss_nn::Layer) -> Option<(usize, usize, usize)> {
         .map(|p| (p.kernel_size(), p.stride(), p.padding()))
 }
 
-pub(crate) fn eval_act(kind: ActivationKind, x: f32) -> f32 {
-    match epilogue_act(kind) {
-        Some(a) => a.eval(x),
-        // ActivationKind is #[non_exhaustive]: treat unknown future
-        // activations as identity rather than failing at inference.
-        None => x,
+/// A standalone activation as an epilogue with no affine: the one
+/// slice pass the interpreter and the plan's activation step both run,
+/// the same body a fused conv applies per tile. Kinds the epilogue does
+/// not know (`ActivationKind` is `#[non_exhaustive]`) are the identity
+/// rather than an inference failure.
+pub(crate) fn activation(kind: ActivationKind) -> rtoss_tensor::Epilogue<'static> {
+    rtoss_tensor::Epilogue {
+        affine: None,
+        act: epilogue_act(kind),
     }
 }
 

@@ -55,7 +55,7 @@
 //! engines.
 
 use crate::exec::{conv2d_packed_into, conv_output_shape, debug_validate};
-use crate::model::{epilogue_act, eval_act, SparseModel, SparseModelError, SparseNode, SparseOp};
+use crate::model::{activation, epilogue_act, SparseModel, SparseModelError, SparseNode, SparseOp};
 use rtoss_nn::layers::ActivationKind;
 use rtoss_tensor::exec::{Epilogue, ExecConfig};
 use rtoss_tensor::ops::out_extent;
@@ -979,10 +979,11 @@ fn exec_step(
         }
         SparseOp::Activation(kind) => {
             let (x, _) = src(0)?;
-            let k = *kind;
-            for (o, &v) in out.iter_mut().zip(x.iter()) {
-                *o = eval_act(k, v);
-            }
+            let x = x
+                .get(..out.len())
+                .ok_or_else(|| plan_err(format!("activation input shorter than step {si}")))?;
+            out.copy_from_slice(x);
+            activation(*kind).apply(0, out);
         }
         SparseOp::MaxPool { k, stride, pad } => {
             let (x, xs) = src(0)?;

@@ -25,10 +25,11 @@
 //! dynamically-indexed use* — full-width bias fill, unconditional
 //! full-width accumulation, and a full-block scratch copy at
 //! [`writeback`] whose *scratch* (not the accumulator) absorbs the
-//! ragged-edge slicing. One dynamic index anywhere on the block and
-//! SROA demotes it to the stack, at which point every tap pays an
-//! accumulator load/store and the tiled walk can only tie the scalar
-//! reference's read-modify-write sweep, never beat it.
+//! ragged-edge slicing and takes the fused epilogue. One dynamic index
+//! anywhere on the block and SROA demotes it to the stack, at which
+//! point every tap pays an accumulator load/store and the tiled walk
+//! can only tie the scalar reference's read-modify-write sweep, never
+//! beat it.
 //!
 //! Two properties are load-bearing for the rest of the workspace:
 //!
@@ -387,16 +388,23 @@ pub fn accum_kernel(acc: &mut AccTile, xp: &[f32], tile: &Tile, taps: &[(u8, u8)
     }
 }
 
-/// Writes the live part of a finished tile into the output plane with
-/// the fused epilogue applied per row segment.
+/// Applies the fused epilogue to a finished tile's live lanes, in one
+/// call, and writes them into the output plane.
 ///
 /// The block is first copied whole into a scratch block (a static,
-/// full-width read — the accumulator's only escape), and the ragged
-/// `mr`/`nr` slicing happens on the *scratch*: this is what keeps the
-/// accumulator itself free of dynamically-indexed uses and therefore
-/// register-promotable. `Epilogue::apply` is per-element with
-/// channel-constant parameters, so applying it per row segment is
-/// bit-identical to applying it to the whole plane.
+/// full-width read — the accumulator's only escape), and its live
+/// `mr`×`nr` lanes are packed row after row into one contiguous run at
+/// its start (a no-op for full-width rows). One `Epilogue::apply` call
+/// runs over that run (a vectorized loop, out of line: inlined here, it
+/// slowed the tap-heavy 2×2-map layers), then each row's segment is
+/// copied out. Slicing the *scratch* is
+/// what keeps the accumulator itself free of dynamically-indexed uses
+/// and therefore register-promotable; packing first keeps the dead
+/// lanes out of the epilogue, and they are most of a tile on maps
+/// narrower than [`NR`] (a 2×2 map has 4 live lanes of 64).
+/// `Epilogue::apply` is per-element with channel-constant parameters,
+/// so applying it to the packed lanes is bit-identical to applying it
+/// to the whole plane.
 #[inline(always)]
 pub fn writeback(
     out_plane: &mut [f32],
@@ -406,15 +414,27 @@ pub fn writeback(
     oc: usize,
     epilogue: &Epilogue<'_>,
 ) {
-    let scratch: AccTile = *acc;
-    let nr = tile.nr.min(NR);
-    for (r, row) in scratch.iter().enumerate().take(tile.mr.min(MR)) {
+    let mut scratch: AccTile = *acc;
+    let (mr, nr) = (tile.mr.min(MR), tile.nr.min(NR));
+    let flat = scratch.as_flattened_mut();
+    // Full-width rows are already contiguous; a ragged tile's rows move
+    // left in place (row `r` lands at `r * nr <= r * NR`, past the
+    // rows already moved).
+    if nr < NR {
+        for r in 1..mr {
+            flat.copy_within(r * NR..r * NR + nr, r * nr);
+        }
+    }
+    let live = &mut flat[..mr * nr];
+    epilogue.apply(oc, live);
+    for r in 0..mr {
         let at = (tile.oy0 + r) * ow + tile.ox0;
-        let Some(dst) = out_plane.get_mut(at..at + nr) else {
-            continue;
-        };
-        dst.copy_from_slice(&row[..nr]);
-        epilogue.apply(oc, dst);
+        if let (Some(dst), Some(src)) = (
+            out_plane.get_mut(at..at + nr),
+            live.get(r * nr..(r + 1) * nr),
+        ) {
+            dst.copy_from_slice(src);
+        }
     }
 }
 
