@@ -88,7 +88,8 @@ pub struct Epilogue<'a> {
 /// host. Their special values: `NaN → NaN`; Sigmoid gives `0.5` at
 /// `±0`, `1` at `+∞` and `+0` at `−∞` (and wherever `exp(-x)`
 /// overflows, `x < −88.72…`); SiLU keeps the sign of `±0`, gives `+∞`
-/// at `+∞` and `−0` wherever Sigmoid is `0`, `−∞` included.
+/// at `+∞`, `−0` wherever Sigmoid is `0` for finite `x`, and NaN at
+/// `−∞` (`−∞ · 0`), as `rtoss_nn`'s `Activation` does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpilogueAct {
     /// `x * sigmoid(x)`.
@@ -153,23 +154,9 @@ impl EpilogueAct {
     /// Evaluates the activation at `x`.
     #[inline(always)]
     pub fn eval(self, x: f32) -> f32 {
-        // `exp`'s argument is floored at −87, where `e^-87` is still a
-        // normal float: below it `1 + e^v` rounds to `1` either way (the
-        // floor changes no output bit, checked over every `f32`), but a
-        // subnormal `e^v` costs a microcode assist on x86 that made
-        // those lanes ~8× slower. `clamp` keeps NaN.
-        let sigmoid = |v: f32| 1.0 / (1.0 + exp((-v).clamp(-87.0, f32::INFINITY)));
+        let sigmoid = |v: f32| 1.0 / (1.0 + exp(-v));
         match self {
-            EpilogueAct::Silu => {
-                // `x * 0` is NaN at `x = −∞`; where Sigmoid has
-                // underflowed the product is `−0` for every other `x`.
-                let s = sigmoid(x);
-                if s == 0.0 {
-                    -0.0
-                } else {
-                    x * s
-                }
-            }
+            EpilogueAct::Silu => x * sigmoid(x),
             EpilogueAct::Relu => x.max(0.0),
             EpilogueAct::LeakyRelu => {
                 if x > 0.0 {
@@ -198,9 +185,10 @@ impl Epilogue<'_> {
     /// Applies the epilogue to one output-channel plane, or to any run
     /// of one channel's outputs (it is elementwise): the microkernel
     /// calls it once per tile on the tile's packed live lanes. One
-    /// vectorized loop per activation. Not inlined: inlined into the
-    /// tile walk it slowed the tap-heavy layers on 2×2 maps by 5–10 %
-    /// (DESIGN §16).
+    /// vectorized loop per activation. `#[inline(never)]`: inlined into
+    /// the tile walk it slowed the tap-heavy layers on 2×2 maps by
+    /// 5–10 % (DESIGN §16).
+    #[inline(never)]
     pub fn apply(&self, ch: usize, plane: &mut [f32]) {
         // Monomorphized per activation so `f` inlines into the loop;
         // the arithmetic (`f(s * v + b)`) is identical across arms.
