@@ -1,32 +1,24 @@
-//! Tiered engine: one replica's dense→3EP→2EP variant stack with
-//! atomic hot swap.
+//! Tiered engine: one replica's dense→3EP→2EP variant stack.
 //!
 //! A [`TieredEngine`] implements [`ServeModel`] so it drops straight
 //! into the existing `rtoss-serve` worker pool. Each micro-batch
 //! executes on the variant selected by the replica's degradation
-//! controller at that moment (an atomic tier index — no lock on the
-//! request path beyond one uncontended `RwLock` read to clone the
-//! model `Arc`). Per-tier served counts feed the fleet's served-tier
-//! mix and modelled-mAP reporting.
-//!
-//! **Hot swap**: [`TieredEngine::swap_model`] prewarms the incoming
-//! model's per-shape artifacts *before* publishing it, then replaces
-//! the `Arc` under a write lock held only for the pointer store — the
-//! std-only equivalent of an atomic `Arc` swap (std has no `AtomicArc`;
-//! an uncontended `RwLock` read is a single atomic acquire). In-flight
-//! batches keep the old `Arc` alive until they finish.
+//! controller at that moment (an atomic tier index; the tier models
+//! are fixed at construction, so the request path takes no lock).
+//! Per-tier served counts feed the fleet's served-tier mix and
+//! modelled-mAP reporting.
 
 use rtoss_serve::{ExecConfig, ServeModel};
 use rtoss_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use crate::tier::TierSpec;
 
-/// One tier's slot: spec + hot-swappable model.
+/// One tier's slot: spec, model and served tallies.
 struct TierSlot {
     spec: TierSpec,
-    model: RwLock<Arc<dyn ServeModel>>,
+    model: Arc<dyn ServeModel>,
     batches: AtomicU64,
     frames: AtomicU64,
 }
@@ -68,7 +60,7 @@ impl TieredEngine {
                 .into_iter()
                 .map(|(spec, model)| TierSlot {
                     spec,
-                    model: RwLock::new(model),
+                    model,
                     batches: AtomicU64::new(0),
                     frames: AtomicU64::new(0),
                 })
@@ -89,9 +81,9 @@ impl TieredEngine {
 
     /// Index of the tier new batches currently execute on.
     pub fn current_tier(&self) -> usize {
-        // Acquire pairs with the Release in `set_tier`/`hot_swap` so a
-        // reader acting on the published index also sees the tier state
-        // written before it.
+        // Acquire pairs with the Release in `set_tier` so a reader acting
+        // on the published index also sees the tier state written before
+        // it.
         self.current.load(Ordering::Acquire)
     }
 
@@ -116,49 +108,13 @@ impl TieredEngine {
             })
             .collect()
     }
-
-    /// Hot-swaps tier `tier`'s model. The incoming model is prewarmed
-    /// for every shape in `prewarm_shapes` *before* it becomes visible,
-    /// so the first post-swap batch never compiles on the hot path.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an out-of-range tier index.
-    pub fn swap_model(
-        &self,
-        tier: usize,
-        model: Arc<dyn ServeModel>,
-        prewarm_shapes: &[Vec<usize>],
-        exec: &ExecConfig,
-    ) -> Result<(), String> {
-        let slot = self
-            .tiers
-            .get(tier)
-            .ok_or_else(|| format!("tier {tier} out of range (have {})", self.tiers.len()))?;
-        for shape in prewarm_shapes {
-            model.prewarm(shape, exec);
-        }
-        let mut guard = slot.model.write().unwrap_or_else(|e| e.into_inner());
-        *guard = model;
-        Ok(())
-    }
-
-    /// The model currently serving tier `tier` (cloned `Arc`).
-    pub fn tier_model(&self, tier: usize) -> Option<Arc<dyn ServeModel>> {
-        self.tiers
-            .get(tier)
-            .map(|s| s.model.read().unwrap_or_else(|e| e.into_inner()).clone())
-    }
 }
 
 impl ServeModel for TieredEngine {
     fn run_batch(&self, batch: &Tensor, exec: &ExecConfig) -> Result<Vec<Tensor>, String> {
         let level = self.current_tier();
         let slot = &self.tiers[level];
-        // Clone the Arc out of the lock so a concurrent hot swap never
-        // blocks behind a running batch.
-        let model = slot.model.read().unwrap_or_else(|e| e.into_inner()).clone();
-        let out = model.run_batch(batch, exec)?;
+        let out = slot.model.run_batch(batch, exec)?;
         slot.batches.fetch_add(1, Ordering::Relaxed);
         slot.frames.fetch_add(
             batch.shape().first().copied().unwrap_or(0) as u64,
@@ -171,8 +127,7 @@ impl ServeModel for TieredEngine {
         self.tiers
             .iter()
             .flat_map(|t| {
-                let model = t.model.read().unwrap_or_else(|e| e.into_inner()).clone();
-                model
+                t.model
                     .verify()
                     .into_iter()
                     .map(move |msg| format!("tier {}: {msg}", t.spec.name))
@@ -181,22 +136,16 @@ impl ServeModel for TieredEngine {
             .collect()
     }
 
-    fn prewarm(&self, input_shape: &[usize], exec: &ExecConfig) {
+    fn prewarm(&self, input_shape: &[usize]) {
         for t in &self.tiers {
-            let model = t.model.read().unwrap_or_else(|e| e.into_inner()).clone();
-            model.prewarm(input_shape, exec);
+            t.model.prewarm(input_shape);
         }
     }
 
     fn peak_activation_bytes(&self) -> Option<u64> {
         self.tiers
             .iter()
-            .filter_map(|t| {
-                t.model
-                    .read()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .peak_activation_bytes()
-            })
+            .filter_map(|t| t.model.peak_activation_bytes())
             .max()
     }
 }
@@ -247,16 +196,56 @@ mod tests {
     }
 
     #[test]
-    fn hot_swap_replaces_a_tier_model() {
-        let e = engine();
-        let x = Tensor::zeros(&[1, 1, 2, 2]);
-        let exec = ExecConfig::with_threads(1);
-        e.swap_model(0, Arc::new(Constant(9.0)), &[vec![1, 1, 2, 2]], &exec)
-            .unwrap();
-        assert_eq!(e.run_batch(&x, &exec).unwrap()[0].as_slice()[0], 9.0);
-        assert!(e
-            .swap_model(7, Arc::new(Constant(0.0)), &[], &exec)
-            .is_err());
+    fn tier_switches_under_concurrent_batches_stay_whole_and_counted() {
+        // Two workers run batches while a third thread flips the tier:
+        // each batch must come from exactly one tier, and the per-tier
+        // tallies must account for every frame run. The rendezvous
+        // channel forces the interleaving: a worker cannot finish
+        // handing off one batch until the flipper has flipped for its
+        // previous one.
+        let e = Arc::new(engine());
+        let (batch_done, batches) = std::sync::mpsc::sync_channel::<()>(0);
+        let flipper = {
+            let e = e.clone();
+            std::thread::spawn(move || {
+                for (i, ()) in batches.iter().enumerate() {
+                    e.set_tier((i + 1) % 3);
+                }
+            })
+        };
+        let workers: Vec<_> = (0..2)
+            .map(|w| {
+                let (e, batch_done) = (e.clone(), batch_done.clone());
+                std::thread::spawn(move || {
+                    let exec = ExecConfig::with_threads(1);
+                    let mut frames = 0u64;
+                    for i in 0..1_000 {
+                        let n = 1 + (i + w) % 3;
+                        let out = e.run_batch(&Tensor::zeros(&[n, 1, 2, 2]), &exec).unwrap();
+                        let values = out[0].as_slice();
+                        assert!(
+                            [0.0, 1.0, 2.0].contains(&values[0]),
+                            "not a tier's output: {}",
+                            values[0]
+                        );
+                        assert!(values.iter().all(|&v| v == values[0]), "mixed tiers");
+                        frames += n as u64;
+                        batch_done.send(()).unwrap();
+                    }
+                    frames
+                })
+            })
+            .collect();
+        drop(batch_done);
+        let frames_run: u64 = workers.into_iter().map(|h| h.join().unwrap()).sum();
+        flipper.join().unwrap();
+        let served = e.served();
+        assert_eq!(served.iter().map(|t| t.3).sum::<u64>(), frames_run);
+        assert_eq!(served.iter().map(|t| t.2).sum::<u64>(), 2_000);
+        assert!(
+            served.iter().filter(|t| t.2 > 0).count() >= 2,
+            "the tier never changed under load: {served:?}"
+        );
     }
 
     #[test]

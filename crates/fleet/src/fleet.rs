@@ -408,29 +408,6 @@ impl Fleet {
         }
     }
 
-    /// Hot-swaps the model serving tier `tier` on **every** replica.
-    /// Each incoming model is prewarmed for all micro-batch sizes
-    /// before it becomes visible (same shapes `Server::start` prewarms).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an out-of-range tier.
-    pub fn swap_tier_model(&self, tier: usize, model: Arc<dyn ServeModel>) -> Result<(), String> {
-        let shapes = prewarm_shapes(&self.serve);
-        for r in &self.replicas {
-            r.engine
-                .swap_model(tier, model.clone(), &shapes, &self.serve.exec)?;
-        }
-        self.metrics.hot_swaps.incr();
-        obs::emit_instant_lazy(|| {
-            (
-                "fleet_hot_swap",
-                vec![("tier", obs::ArgValue::U64(tier as u64))],
-            )
-        });
-        Ok(())
-    }
-
     /// Point-in-time fleet snapshot (tenant ledgers, per-replica server
     /// metrics, served-tier mix, routing/controller tallies).
     pub fn snapshot(&self) -> FleetSnapshot {
@@ -507,7 +484,6 @@ impl Fleet {
             routed_spill: self.metrics.routed_spill.get(),
             tier_upgrades: self.metrics.tier_upgrades.get(),
             tier_downgrades: self.metrics.tier_downgrades.get(),
-            hot_swaps: self.metrics.hot_swaps.get(),
         }
     }
 
@@ -531,25 +507,6 @@ impl Fleet {
             .map(|(i, _)| i)
             .unwrap_or(0)
     }
-}
-
-/// Prewarm shapes matching `Server::start`'s policy: every micro-batch
-/// size `1..=max_batch` of the configured single-frame shape.
-fn prewarm_shapes(serve: &ServeConfig) -> Vec<Vec<usize>> {
-    let Some(frame) = &serve.prewarm else {
-        return Vec::new();
-    };
-    let Some((&frames, rest)) = frame.split_first() else {
-        return Vec::new();
-    };
-    (1..=serve.max_batch.max(1))
-        .map(|b| {
-            let mut shape = Vec::with_capacity(frame.len());
-            shape.push(frames.max(1) * b);
-            shape.extend_from_slice(rest);
-            shape
-        })
-        .collect()
 }
 
 struct ControllerProbe {
@@ -832,24 +789,6 @@ mod tests {
             .unwrap();
             assert_eq!(fleet.exec_threads(), threads);
         }
-    }
-
-    #[test]
-    fn hot_swap_reaches_every_replica() {
-        let fleet = Fleet::start(
-            tiers(Duration::ZERO),
-            FleetConfig {
-                replicas: 3,
-                controller: None,
-                tenants: vec![TenantSpec::new("t", SloClass::Gold, 1e6, 1e6)],
-                ..FleetConfig::default()
-            },
-        )
-        .unwrap();
-        fleet.swap_tier_model(0, echo(Duration::ZERO)).unwrap();
-        assert!(fleet.swap_tier_model(9, echo(Duration::ZERO)).is_err());
-        let snap = fleet.shutdown();
-        assert_eq!(snap.hot_swaps, 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   (RV061);
 //! - [`engine`] — [`TieredEngine`]: one replica's dense→3EP→2EP variant
 //!   stack behind a single [`ServeModel`](rtoss_serve::ServeModel)
-//!   front, with prewarmed atomic hot swap;
+//!   front, switching tiers with one atomic store;
 //! - [`fleet`] — the orchestrator tying it together, with a
 //!   conservation-accounted tenant ledger
 //!   (`offered == admitted + throttled + shed`, RV062);

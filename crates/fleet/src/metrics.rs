@@ -36,8 +36,6 @@ pub struct FleetMetrics {
     pub tier_upgrades: StripedCounter,
     /// Controller moves toward sparser tiers.
     pub tier_downgrades: StripedCounter,
-    /// Hot model swaps applied.
-    pub hot_swaps: StripedCounter,
 }
 
 /// Snapshot of one tenant's ledger.
@@ -107,8 +105,6 @@ pub struct FleetSnapshot {
     pub tier_upgrades: u64,
     /// Controller downgrades (toward sparse).
     pub tier_downgrades: u64,
-    /// Hot model swaps applied.
-    pub hot_swaps: u64,
 }
 
 impl FleetSnapshot {
@@ -189,7 +185,6 @@ impl FleetSnapshot {
                 "Degradation-controller moves toward sparser tiers",
                 self.tier_downgrades,
             ),
-            ("hot_swaps", "Hot model swaps applied", self.hot_swaps),
         ] {
             metrics.push(PromMetric::counter(
                 format!("rtoss_fleet_{name}_total"),
@@ -281,7 +276,6 @@ mod tests {
             routed_spill: 1,
             tier_upgrades: 0,
             tier_downgrades: 1,
-            hot_swaps: 0,
         }
     }
 

@@ -1,4 +1,4 @@
-//! Exporters: Chrome/Perfetto `trace.json` and JSONL structured logs.
+//! Exporter: Chrome/Perfetto `trace.json`.
 //!
 //! The Chrome trace event format is emitted by hand (this crate is
 //! dependency-free): a JSON array of event objects that
@@ -7,10 +7,6 @@
 //! async intervals become legacy async begin/end pairs (`"ph":"b"` /
 //! `"ph":"e"`, correlated by `id`), and markers become instant events
 //! (`"ph":"i"`). Timestamps are microseconds since the trace epoch.
-//!
-//! The JSONL exporter writes one self-contained JSON object per event,
-//! in drain order — the grep-friendly structured log for offline
-//! analysis.
 
 use crate::trace::{ArgValue, EventKind, Trace, TraceEvent};
 use std::fmt::Write as _;
@@ -131,33 +127,6 @@ impl Trace {
         out.push_str("\n]\n");
         out
     }
-
-    /// Renders the trace as JSONL: one JSON object per event, drain
-    /// order, with raw nanosecond fields.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(128 * self.events.len());
-        for e in &self.events {
-            out.push_str("{\"name\":");
-            push_json_str(&mut out, &e.name);
-            let kind = match e.kind {
-                EventKind::Span => "span",
-                EventKind::Async { .. } => "async",
-                EventKind::Instant => "instant",
-            };
-            let _ = write!(
-                out,
-                ",\"kind\":\"{kind}\",\"tid\":{},\"ts_ns\":{},\"dur_ns\":{}",
-                e.tid, e.ts_ns, e.dur_ns
-            );
-            if let EventKind::Async { id } = e.kind {
-                let _ = write!(out, ",\"id\":{id}");
-            }
-            out.push_str(",\"args\":");
-            push_args(&mut out, &e.args);
-            out.push_str("}\n");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -211,21 +180,5 @@ mod tests {
         assert!(json.contains("weird \\\"name\\\"\\n"));
         assert!(json.contains("a\\\\b\\t"));
         assert!(json.contains("\"NaN\""), "NaN stringified: {json}");
-    }
-
-    #[test]
-    fn jsonl_is_one_object_per_line() {
-        let trace = Trace {
-            events: vec![
-                event("a", EventKind::Span, 0, 10),
-                event("b", EventKind::Async { id: 9 }, 5, 5),
-            ],
-            dropped: 0,
-        };
-        let jsonl = trace.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"kind\":\"span\""));
-        assert!(lines[1].contains("\"id\":9"));
     }
 }

@@ -22,8 +22,8 @@
 //!   firing/resolved hysteresis, emitting structured alert events.
 //! - [`flight`] — the black-box flight recorder: a bounded ring of
 //!   recent spans/instants/samples/alerts dumped as post-mortem JSON.
-//! - [`chrome`] — exporters: Chrome/Perfetto `trace.json` and a JSONL
-//!   structured event log (methods on [`Trace`]).
+//! - [`chrome`] — the Chrome/Perfetto `trace.json` exporter (a method
+//!   on [`Trace`]).
 //! - [`prom`] — Prometheus text exposition: a generic metric model,
 //!   the one renderer (it groups samples by family itself, so callers
 //!   may push in any order), and a parser (for round-trip

@@ -23,9 +23,7 @@
 //!   batch-assembly / execute), and a serde-serializable
 //!   [`MetricsSnapshot`]. A completion is counted once, in the
 //!   cumulative counters; windowed views (the fleet's deadline burn
-//!   rate) are derived from readings of those counters;
-//! - a modelled **energy hook** charging each request its share of a
-//!   micro-batched pass on an [`rtoss_hw`] device model.
+//!   rate) are derived from readings of those counters.
 //!
 //! Load generation lives outside the library: the benchmark spine
 //! (`benchmark/`, workload `serve_open`) drives a server open-loop.
@@ -82,4 +80,4 @@ pub use request::{
     InferenceRequest, InferenceResponse, RequestError, RequestResult, RequestTiming, Ticket,
 };
 pub use rtoss_tensor::ExecConfig;
-pub use server::{EnergyModelHook, QueueDepthHandle, ServeConfig, ServeModel, Server};
+pub use server::{QueueDepthHandle, ServeConfig, ServeModel, Server};

@@ -93,8 +93,6 @@ pub struct ServerMetrics {
     pub batches: StripedCounter,
     /// Requests carried by those batches (mean batch size = this ÷ batches).
     pub batched_requests: StripedCounter,
-    /// Modelled energy, microjoules (integer so it can be a counter).
-    pub energy_uj: StripedCounter,
     /// Submit → popped from the queue.
     pub queue_wait: LatencyHistogram,
     /// Popped → batch closed.
@@ -141,7 +139,6 @@ impl ServerMetrics {
             } else {
                 batched as f64 / batches as f64
             },
-            energy_j: self.energy_uj.get() as f64 / 1e6,
             peak_activation_bytes: self.peak_activation_bytes.load(Ordering::Relaxed),
             queue_wait: PhaseStats::of(&self.queue_wait),
             batch_assembly: PhaseStats::of(&self.batch_assembly),
@@ -174,8 +171,6 @@ pub struct MetricsSnapshot {
     pub shut_down: u64,
     /// Mean micro-batch size over the run.
     pub mean_batch_size: f64,
-    /// Modelled energy, joules.
-    pub energy_j: f64,
     /// High-water mark of the served engine's activation-arena bytes
     /// (0 until a compiled plan reports one, or for models without
     /// plans).
@@ -207,7 +202,7 @@ impl MetricsSnapshot {
 
     /// Renders the snapshot in Prometheus text exposition format:
     /// every counter as `rtoss_<name>_total`, the batch-size and
-    /// energy gauges, and each phase histogram as
+    /// peak-activation gauges, and each phase histogram as
     /// `rtoss_<phase>_seconds` with the full log-bucket geometry
     /// (bounds converted to seconds).
     pub fn to_prometheus(&self) -> String {
@@ -255,11 +250,6 @@ impl MetricsSnapshot {
             "Mean micro-batch size over the run",
             self.mean_batch_size,
         ));
-        metrics.push(PromMetric::counter(
-            "rtoss_energy_joules_total",
-            "Modelled energy consumed, joules",
-            self.energy_j,
-        ));
         metrics.push(PromMetric::gauge(
             "rtoss_peak_activation_bytes",
             "Peak activation-arena bytes across the engine's compiled execution plans",
@@ -299,7 +289,6 @@ mod tests {
         m.shed.incr();
         m.batches.add(3);
         m.batched_requests.add(9);
-        m.energy_uj.add(1_500_000);
         m.queue_wait.record(Duration::from_micros(80));
         m.execute.record(Duration::from_millis(4));
         let snap = m.snapshot();
@@ -307,7 +296,6 @@ mod tests {
         assert!(json.contains("\"completed\""));
         let back: MetricsSnapshot = serde_json::from_str(&json).expect("snapshot deserializes");
         assert_eq!(back, snap);
-        assert_eq!(back.energy_j, 1.5);
         assert_eq!(back.mean_batch_size, 3.0);
         // The full bucket counts ride along and survive the round trip.
         assert_eq!(back.queue_wait_hist.count, 1);

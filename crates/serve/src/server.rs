@@ -12,7 +12,6 @@ use crate::queue::{BackpressurePolicy, BoundedQueue, Pending};
 use crate::request::{
     ticket_pair, InferenceRequest, InferenceResponse, RequestError, RequestTiming, Ticket,
 };
-use rtoss_hw::{DeviceModel, EnergyBreakdown, Workload};
 use rtoss_obs as obs;
 use rtoss_sparse::SparseModel;
 use rtoss_tensor::{ops, ExecConfig, Tensor};
@@ -57,7 +56,7 @@ pub trait ServeModel: Send + Sync + 'static {
     /// that shape pays no compilation latency. The default does
     /// nothing; failures are deliberately swallowed — an unplannable
     /// shape surfaces as a per-request error, not a startup crash.
-    fn prewarm(&self, _input_shape: &[usize], _exec: &ExecConfig) {}
+    fn prewarm(&self, _input_shape: &[usize]) {}
 
     /// Peak activation-arena bytes across the model's compiled plans,
     /// once one has been compiled (`None` before that, and for models
@@ -80,7 +79,7 @@ impl ServeModel for SparseModel {
             .collect()
     }
 
-    fn prewarm(&self, input_shape: &[usize], _exec: &ExecConfig) {
+    fn prewarm(&self, input_shape: &[usize]) {
         let _ = self.plan_for(input_shape);
     }
 
@@ -109,17 +108,6 @@ impl QueueDepthHandle {
     }
 }
 
-/// Analytic energy accounting for served requests: each completed
-/// request is charged its share of a micro-batched pass on `device`
-/// under `workload` (see [`EnergyBreakdown::compute_batched`]).
-#[derive(Debug, Clone)]
-pub struct EnergyModelHook {
-    /// Device the energy model simulates.
-    pub device: DeviceModel,
-    /// Per-frame workload of the served model.
-    pub workload: Workload,
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -133,10 +121,16 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// How long an open batch waits for stragglers before executing.
     pub batch_timeout: Duration,
-    /// Optional per-request energy accounting.
-    pub energy: Option<EnergyModelHook>,
-    /// Intra-op execution config passed to [`ServeModel::run_batch`]
-    /// (thread count for the tiled conv executors).
+    /// Always `None`: a type that can hold no value, kept only because
+    /// the `benchmark/` package still sets `energy: None`. The server
+    /// reads nothing from it; the next change to that package deletes
+    /// the field and that line together.
+    #[doc(hidden)]
+    pub energy: Option<std::convert::Infallible>,
+    /// Execution config passed to [`ServeModel::run_batch`]: its
+    /// `threads` is the compiled plan's level width (how many
+    /// independent steps of one forward may run at once); every op body
+    /// is serial.
     pub exec: ExecConfig,
     /// Single-frame input shape (`[1, c, h, w]`) to prewarm before
     /// serving: [`Server::start`] compiles the model's per-shape
@@ -184,7 +178,7 @@ impl Server {
                     let mut shape = Vec::with_capacity(frame.len());
                     shape.push(frames.max(1) * b);
                     shape.extend_from_slice(rest);
-                    model.prewarm(&shape, &config.exec);
+                    model.prewarm(&shape);
                 }
             }
             if let Some(bytes) = model.peak_activation_bytes() {
@@ -249,11 +243,6 @@ impl Server {
     /// Live metrics handle (counters keep updating behind it).
     pub fn metrics(&self) -> Arc<ServerMetrics> {
         self.metrics.clone()
-    }
-
-    /// Current queue depth.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// A cloneable handle that keeps reporting the queue depth from any
@@ -440,13 +429,6 @@ fn serve_batch(
         }
     };
 
-    // Energy is charged per *frame*: a request whose input stacks f
-    // frames (`shape()[0] == f`) costs f shares of a `frames`-wide
-    // batched pass, not one share of a `batch.len()`-wide pass.
-    let per_frame_energy_j = config.energy.as_ref().map(|hook| {
-        EnergyBreakdown::compute_batched(&hook.device, &hook.workload, frames.max(1)).total_j()
-    });
-
     let now = Instant::now();
     let batch_size = batch.len();
     match outcome {
@@ -475,11 +457,6 @@ fn serve_batch(
                 metrics.completed.incr();
                 if deadline_missed {
                     metrics.deadline_missed.incr();
-                }
-                if let Some(per_frame_j) = per_frame_energy_j {
-                    let request_frames = pending.request.input.shape()[0] as f64;
-                    let uj = (per_frame_j * request_frames * 1e6).round().max(0.0) as u64;
-                    metrics.energy_uj.add(uj);
                 }
                 pending.fulfiller.fulfil(Ok(InferenceResponse {
                     outputs,
@@ -644,72 +621,6 @@ mod tests {
         assert_eq!(m.failed.get(), 1);
         assert_eq!(m.completed.get(), 1);
         server.shutdown();
-    }
-
-    #[test]
-    fn energy_hook_charges_completed_requests() {
-        let workload = Workload {
-            dense_macs: 1_000_000,
-            effective_macs: 1_000_000,
-            weight_bytes: 1_000,
-            structure: rtoss_hw::SparsityStructure::Dense,
-        };
-        let server = Server::start(
-            echo(),
-            ServeConfig {
-                energy: Some(EnergyModelHook {
-                    device: DeviceModel::jetson_tx2(),
-                    workload,
-                }),
-                ..ServeConfig::default()
-            },
-        );
-        server
-            .submit(Tensor::zeros(&[1, 1, 2, 2]), None)
-            .unwrap()
-            .wait()
-            .unwrap();
-        let m = server.metrics();
-        server.shutdown();
-        assert!(m.snapshot().energy_j > 0.0);
-    }
-
-    #[test]
-    fn energy_charges_per_frame_not_per_request() {
-        // Regression: a request carrying several frames must be charged
-        // for every frame, not a single per-request share.
-        let workload = Workload {
-            dense_macs: 1_000_000,
-            effective_macs: 1_000_000,
-            weight_bytes: 1_000,
-            structure: rtoss_hw::SparsityStructure::Dense,
-        };
-        let device = DeviceModel::jetson_tx2();
-        let server = Server::start(
-            echo(),
-            ServeConfig {
-                workers: 1,
-                max_batch: 1,
-                energy: Some(EnergyModelHook {
-                    device: device.clone(),
-                    workload,
-                }),
-                ..ServeConfig::default()
-            },
-        );
-        // One request stacking three frames along the batch dimension.
-        server
-            .submit(Tensor::zeros(&[3, 1, 2, 2]), None)
-            .unwrap()
-            .wait()
-            .unwrap();
-        let m = server.metrics();
-        server.shutdown();
-        let per_frame_j = EnergyBreakdown::compute_batched(&device, &workload, 3).total_j();
-        let expected_uj = (per_frame_j * 3.0 * 1e6).round() as u64;
-        assert_eq!(m.energy_uj.get(), expected_uj);
-        // Sanity: strictly more than one per-frame share.
-        assert!(m.energy_uj.get() > (per_frame_j * 1e6) as u64);
     }
 
     #[test]

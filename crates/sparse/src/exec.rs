@@ -45,8 +45,8 @@ use crate::format::{PatternCompressedConv, UnstructuredSparseConv};
 use crate::pack::Pack;
 use rtoss_tensor::exec::{Epilogue, ExecConfig};
 use rtoss_tensor::microkernel::{
-    accum_kernel, accum_taps, pad_plane_into, padded_plane_len, writeback, FastDivmod, PhaseLayout,
-    Tile, MR, NR,
+    accum_kernel, accum_taps, pad_plane_into, padded_plane_len, writeback, PhaseLayout, Tile, MR,
+    NR,
 };
 use rtoss_tensor::ops::out_extent;
 use rtoss_tensor::{Tensor, TensorError};
@@ -248,8 +248,9 @@ fn conv_entry(x: &Tensor, pack: &Pack, bias: Option<&[f32]>) -> Result<Tensor, T
 /// phase-split planes (one pass — see the microkernel module docs, which
 /// make every tap a contiguous load at any stride), then walks each output
 /// plane in [`MR`]×[`NR`] tiles and hands each tile to
-/// `tile_fn(oc, tile, x_batch, out_plane)`. Block and plane indices are
-/// decomposed with [`FastDivmod`] — no hardware divide on the walk.
+/// `tile_fn(oc, tile, x_batch, out_plane)`. Nested `ni → oc → row
+/// block → row segment` loops visit the tiles, so the walk divides
+/// nothing.
 ///
 /// `tile_fn` owns the whole tile body: it creates the accumulator
 /// block, runs the pack's canonical tap chain over it, and writes
@@ -272,10 +273,6 @@ fn run_tiled_conv(
     tile_fn: impl Fn(usize, &Tile, &[f32], &mut [f32]),
 ) {
     let plane = g.oh * g.ow;
-    let segs_per_row = g.ow.div_ceil(NR).max(1);
-    let row_blocks = g.oh.div_ceil(MR).max(1);
-    let seg_div = FastDivmod::new(segs_per_row as u32);
-    let oc_div = FastDivmod::new(g.o as u32);
     let hw = g.h * g.w;
     let php = padded_plane_len(g.h, g.w, g.pad, g.stride);
     let layout = PhaseLayout::new(g.w, g.pad, g.stride);
@@ -283,26 +280,25 @@ fn run_tiled_conv(
     for (p, dst) in staged.chunks_mut(php).enumerate() {
         pad_plane_into(dst, &x[p * hw..(p + 1) * hw], g.h, g.w, g.pad, g.stride);
     }
-    for (plane_ix, out_plane) in out.chunks_mut(plane).enumerate() {
-        let (ni, oc) = {
-            let (q, r) = oc_div.divmod(plane_ix as u32);
-            (q as usize, r as usize)
-        };
+    // Output planes are `(ni, oc)` in row-major order.
+    let mut out_planes = out.chunks_mut(plane);
+    for ni in 0..g.n {
         // Each staged plane carries its own slack tail (included in
         // `php`), so ragged tiles stay within their plane's slice.
         let x_batch = &staged[ni * g.c * php..];
-        for s in 0..(row_blocks * segs_per_row) as u32 {
-            let (by, sx) = seg_div.divmod(s);
-            let oy0 = by as usize * MR;
-            let ox0 = sx as usize * NR;
-            let tile = Tile {
-                layout: &layout,
-                oy0,
-                mr: MR.min(g.oh - oy0),
-                ox0,
-                nr: NR.min(g.ow - ox0),
-            };
-            tile_fn(oc, &tile, x_batch, out_plane);
+        for (oc, out_plane) in (0..g.o).zip(out_planes.by_ref()) {
+            for oy0 in (0..g.oh).step_by(MR) {
+                for ox0 in (0..g.ow).step_by(NR) {
+                    let tile = Tile {
+                        layout: &layout,
+                        oy0,
+                        mr: MR.min(g.oh - oy0),
+                        ox0,
+                        nr: NR.min(g.ow - ox0),
+                    };
+                    tile_fn(oc, &tile, x_batch, out_plane);
+                }
+            }
         }
     }
 }

@@ -51,9 +51,7 @@
 //!   dispatches one kernel on its tap count, with an arity-generic
 //!   loop for the counts that have no unrolled body.
 //!
-//! Index math over tile coordinates is strength-reduced with
-//! [`FastDivmod`] (multiply-shift, no hardware divide) in the style of
-//! cubek's im2col `Layout`; a tap's phase column is a table load.
+//! A tap's phase column is a table load.
 
 use crate::exec::Epilogue;
 
@@ -70,62 +68,6 @@ pub const NR: usize = 16;
 /// row accumulations from one base offset, so per-tap setup cost is
 /// amortized over `MR * NR` output elements.
 pub const MR: usize = 4;
-
-/// Strength-reduced unsigned division by a fixed divisor.
-///
-/// Precomputes a multiply-shift magic pair `(m, s)` such that for any
-/// `n < 2^32`, `n / d == (n * m) >> (64 + s)` evaluated in 128-bit
-/// arithmetic — the hot loop replaces a hardware divide (~20-90
-/// cycles) with a widening multiply and a shift. This is the cubek
-/// `FastDivmod` construction; the exhaustive-edge proptest in this
-/// module pins correctness against the native operators.
-#[derive(Debug, Clone, Copy)]
-pub struct FastDivmod {
-    d: u32,
-    m: u64,
-    s: u32,
-}
-
-impl FastDivmod {
-    /// Builds the magic pair for divisor `d` (clamped to ≥ 1).
-    #[inline]
-    pub fn new(d: u32) -> Self {
-        let d = d.max(1);
-        // Round-up magic: m = ceil(2^(32+s) / d) with s = ceil(log2 d).
-        // The classic bound (Granlund–Montgomery) guarantees exactness
-        // for all 32-bit numerators.
-        let s = 32 - (d - 1).leading_zeros();
-        let m = if d == 1 {
-            // 2^64 does not fit; handled by the d == 1 fast path below.
-            0
-        } else {
-            ((1u128 << (32 + s)).div_ceil(d as u128)) as u64
-        };
-        Self { d, m, s }
-    }
-
-    /// The divisor this instance was built for.
-    #[inline]
-    pub fn divisor(&self) -> u32 {
-        self.d
-    }
-
-    /// `n / d` without a hardware divide.
-    #[inline(always)]
-    pub fn div(&self, n: u32) -> u32 {
-        if self.d == 1 {
-            return n;
-        }
-        ((n as u64 as u128 * self.m as u128) >> (32 + self.s)) as u32
-    }
-
-    /// `(n / d, n % d)` without a hardware divide.
-    #[inline(always)]
-    pub fn divmod(&self, n: u32) -> (u32, u32) {
-        let q = self.div(n);
-        (q, n - q * self.d)
-    }
-}
 
 /// Row geometry `(wq, pitch)` of a phase-split staging plane for a
 /// `w`-wide input with `pad` columns of padding each side at stride
@@ -442,55 +384,6 @@ pub fn writeback(
 mod tests {
     use super::*;
     use crate::exec::Epilogue;
-
-    #[test]
-    fn fast_divmod_matches_native_on_edges_and_random() {
-        let divisors = [1u32, 2, 3, 5, 7, 9, 16, 27, 63, 64, 65, 1000, u32::MAX];
-        let numerators = [
-            0u32,
-            1,
-            2,
-            8,
-            9,
-            63,
-            64,
-            65,
-            12345,
-            (1 << 16) - 1,
-            1 << 16,
-            u32::MAX - 1,
-            u32::MAX,
-        ];
-        for &d in &divisors {
-            let f = FastDivmod::new(d);
-            assert_eq!(f.divisor(), d);
-            for &n in &numerators {
-                assert_eq!(f.div(n), n / d, "div n={n} d={d}");
-                assert_eq!(f.divmod(n), (n / d, n % d), "divmod n={n} d={d}");
-            }
-        }
-        // Deterministic pseudo-random sweep (xorshift).
-        let mut state = 0x9E3779B9u32;
-        for _ in 0..20_000 {
-            state ^= state << 13;
-            state ^= state >> 17;
-            state ^= state << 5;
-            let n = state;
-            state ^= state << 13;
-            state ^= state >> 17;
-            state ^= state << 5;
-            let d = state.max(1);
-            let f = FastDivmod::new(d);
-            assert_eq!(f.divmod(n), (n / d, n % d), "n={n} d={d}");
-        }
-    }
-
-    #[test]
-    fn divisor_zero_clamps_to_one() {
-        let f = FastDivmod::new(0);
-        assert_eq!(f.divisor(), 1);
-        assert_eq!(f.divmod(42), (42, 0));
-    }
 
     #[test]
     fn padded_plane_round_trips_and_borders_zero() {

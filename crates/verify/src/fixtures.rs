@@ -612,7 +612,6 @@ pub fn fleet_quota_fixture() -> Report {
         routed_spill: 0,
         tier_upgrades: 0,
         tier_downgrades: 0,
-        hot_swaps: 0,
     };
     crate::fleet::check_fleet_ledger(&snapshot)
 }

@@ -333,7 +333,6 @@ mod tests {
             routed_spill: 1,
             tier_upgrades: 0,
             tier_downgrades: 0,
-            hot_swaps: 0,
         }
     }
 
